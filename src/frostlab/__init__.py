@@ -45,7 +45,7 @@ from .measures import (
 from .spectral import (
     ComplexField,
     SpectralGrid,
-    annulus_energy,
+    Spectrum,
     annulus_energy_profile,
     decay_fit,
     field_at_points,
@@ -57,7 +57,6 @@ from .spectral import (
     partition_residual,
     save_field_binary,
     set_fft_workers,
-    strichartz_energy,
     strichartz_profile,
     to_freq,
     to_space,
@@ -68,10 +67,9 @@ from .operators import (
     default_mollify_eps,
     default_t_grid,
     dyadic_operator,
-    make_run_manifest,
     maximal_function,
     quadrature_spherical_average,
-    riesz_kernel,
+    riesz_multiplier,
     riesz_row_sum,
     sphere_l2_profile,
     sphere_multiplier,

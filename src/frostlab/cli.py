@@ -91,6 +91,38 @@ def _pop(cfg: dict, key: str, default, prefix: str = ""):
     return default
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _pop_int(cfg: dict, key: str, default, prefix: str = ""):
+    value = _pop(cfg, key, default, prefix)
+    if not _is_int(value):
+        raise ConfigError(prefix + key, f"must be an integer, got {value!r}")
+    return value
+
+
+def _pop_number(cfg: dict, key: str, default, prefix: str = ""):
+    value = _pop(cfg, key, default, prefix)
+    if not _is_number(value):
+        raise ConfigError(prefix + key, f"must be a number, got {value!r}")
+    return value
+
+
+def _pop_list(cfg: dict, key: str, default, of_ints: bool = False):
+    """A nonempty JSON list of numbers (integers when of_ints)."""
+    value = _pop(cfg, key, default)
+    ok = _is_int if of_ints else _is_number
+    if not (isinstance(value, list) and value and all(ok(v) for v in value)):
+        what = "integers" if of_ints else "numbers"
+        raise ConfigError(key, f"must be a nonempty list of {what}, got {value!r}")
+    return value
+
+
 def _reject_unknown(cfg: dict, prefix: str = ""):
     if cfg:
         raise ConfigError(prefix + sorted(cfg)[0], "unknown field")
@@ -129,9 +161,10 @@ def _load_config(path, subcommand: str) -> dict:
 
 def _build_grid(cfg: dict, default: dict) -> tuple:
     section = _section(cfg, "grid", default)
-    dim = _pop(section, "dim", default["dim"], "grid.")
-    n = _pop(section, "n_per_axis", default["n_per_axis"], "grid.")
-    half = _pop(section, "box_half_width", default["box_half_width"], "grid.")
+    dim = _pop_int(section, "dim", default["dim"], "grid.")
+    n = _pop_int(section, "n_per_axis", default["n_per_axis"], "grid.")
+    half = _pop_number(section, "box_half_width", default["box_half_width"],
+                       "grid.")
     _reject_unknown(section, "grid.")
     try:
         grid = SpectralGrid(dim, n, half)
@@ -325,12 +358,14 @@ def _run_strichartz(cfg: dict, args, out: Path) -> int:
     f, dcfg = _build_density(cfg)
     default_radii = [float(2.0 ** k) for k in
                      range(int(np.log2(grid.freq_max)))]
-    radii = _pop(cfg, "radii", default_radii)
+    radii = _pop_list(cfg, "radii", default_radii)
     s = _pop(cfg, "s", mu.nominal_s)
     _reject_unknown(cfg)
     if s is None:
         raise ConfigError("s", "required when the measure has no"
                           " nominal exponent")
+    if not _is_number(s):
+        raise ConfigError("s", f"must be a number, got {s!r}")
     energies = strichartz_profile(f, mu, grid, radii, s)
     rows = ["r,energy"]
     for r, e in zip(radii, energies):
@@ -350,7 +385,7 @@ def _run_avg(cfg: dict, args, out: Path) -> int:
     grid, gcfg = _build_grid(cfg, {"dim": 2, "n_per_axis": 256,
                                    "box_half_width": 2.0})
     f, dcfg = _build_density(cfg)
-    t = _pop(cfg, "t", 0.5)
+    t = _pop_number(cfg, "t", 0.5)
     _reject_unknown(cfg)
     field = spherical_average(f, mu, t, grid)
     save_field_binary(field, out / "field.bin")
@@ -370,7 +405,7 @@ def _run_maximal(cfg: dict, args, out: Path) -> int:
     grid, gcfg = _build_grid(cfg, {"dim": 2, "n_per_axis": 256,
                                    "box_half_width": 4.0})
     f, dcfg = _build_density(cfg)
-    t_grid_n = _pop(cfg, "t_grid_n", 16)
+    t_grid_n = _pop_int(cfg, "t_grid_n", 16)
     _reject_unknown(cfg)
     field = maximal_function(f, mu, default_t_grid(t_grid_n), grid)
     save_field_binary(field, out / "field.bin")
@@ -391,8 +426,8 @@ def _run_opnorm(cfg: dict, args, out: Path) -> int:
                                        "half_width": 1.0, "n_cells": 32})
     grid, gcfg = _build_grid(cfg, {"dim": 2, "n_per_axis": 256,
                                    "box_half_width": 2.0})
-    t = _pop(cfg, "t", 0.5)
-    p = _pop(cfg, "p", 2.0)
+    t = _pop_number(cfg, "t", 0.5)
+    p = _pop_number(cfg, "p", 2.0)
     family = _pop(cfg, "family", "bumps")
     _reject_unknown(cfg)
     handle = grid_operator_handle(
@@ -422,7 +457,7 @@ def _run_growth(cfg: dict, args, out: Path) -> int:
     grid, gcfg = _build_grid(cfg, {"dim": 2, "n_per_axis": 512,
                                    "box_half_width": 2.0})
     f, dcfg = _build_density(cfg)
-    j_values = _pop(cfg, "j_values", [2, 3, 4, 5, 6])
+    j_values = _pop_list(cfg, "j_values", [2, 3, 4, 5, 6], of_ints=True)
     _reject_unknown(cfg)
     js = np.asarray(j_values, dtype=int)
     norms = sphere_l2_profile(f, mu, grid, js)
@@ -529,8 +564,8 @@ def _run_wave(cfg: dict, args, out: Path) -> int:
         f, dcfg = _build_density(cfg)
         if f is None:
             f, dcfg = _build_density({"density": {"kind": "gaussian"}})
-        t = _pop(cfg, "t", 0.4)
-        z = _pop(cfg, "slice_z", 0.0)
+        t = _pop_number(cfg, "t", 0.4)
+        z = _pop_number(cfg, "slice_z", 0.0)
         _reject_unknown(cfg)
         u = wave_solution(f, mu, t, grid)
         u.save_binary(out / "field.bin")
@@ -552,7 +587,7 @@ def _run_wave(cfg: dict, args, out: Path) -> int:
         f, dcfg = _build_density(cfg)
         if f is None:
             f, dcfg = _build_density({"density": {"kind": "gaussian"}})
-        times = _pop(cfg, "times", [0.2, 0.1, 0.05])
+        times = _pop_list(cfg, "times", [0.2, 0.1, 0.05])
         _reject_unknown(cfg)
         rep = pointwise_limit_fit(f, mu, grid, times=tuple(times))
         _write_csv(out / "pointwise.csv", rep.csv_rows())
@@ -565,9 +600,10 @@ def _run_wave(cfg: dict, args, out: Path) -> int:
         print(f"wave: pointwise order {rep.order:.4f} -> {out}")
         return 0
     if mode == "blowup":
-        refinements = _pop(cfg, "refinements", [64, 128, 256])
-        t = _pop(cfg, "t", 1.0)
-        fraction = _pop(cfg, "threshold_fraction", 0.95)
+        refinements = _pop_list(cfg, "refinements", [64, 128, 256],
+                                of_ints=True)
+        t = _pop_number(cfg, "t", 1.0)
+        fraction = _pop_number(cfg, "threshold_fraction", 0.95)
         _reject_unknown(cfg)
         f_fam, mu_fam, p = sharpness_family()
         rep = blowup_probe(f_fam, mu_fam, t,

@@ -26,6 +26,7 @@ from .exponents import blowup_dim_fixed_time
 from .fitting import FitReport, line_fit, log2_fit, loglog_fit
 from .measures import (
     DiscreteMeasure,
+    _sphere_area,
     cantor_measure,
     measure_from_atoms,
     product_measure,
@@ -55,10 +56,6 @@ _ANNULUS_PROBE_TARGETS = (0.1, 0.45, 0.8)
 _MAX_TEST_ATOMS = 2 ** 22
 _MAX_FACTOR_DEPTH = 24
 _CSV_HEADER = "series,level,partial_sum,increment"
-
-
-def _sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def _check_dim(d, max_d=None):

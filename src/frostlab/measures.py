@@ -594,18 +594,28 @@ def save_measure_binary(mu: DiscreteMeasure, path) -> None:
         fh.write(mu.weights.astype("<f8").tobytes())
 
 
+def _read_exact(fh, size: int, path) -> bytes:
+    """Read exactly size bytes; a short read means a truncated file."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise ParameterError(f"{path}: truncated file")
+    return data
+
+
 def load_measure_binary(path) -> DiscreteMeasure:
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MEASURE_MAGIC:
             raise ParameterError(f"{path}: bad magic {magic!r}")
-        dim, n, nominal, total, res = struct.unpack("<IQddd", fh.read(36))
-        box_lo = np.frombuffer(fh.read(8 * dim), dtype="<f8").copy()
-        box_hi = np.frombuffer(fh.read(8 * dim), dtype="<f8").copy()
-        (taglen,) = struct.unpack("<I", fh.read(4))
-        tag = fh.read(taglen).decode("utf-8")
-        atoms = np.frombuffer(fh.read(8 * dim * n), dtype="<f8").reshape(n, dim).copy()
-        weights = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
+        dim, n, nominal, total, res = struct.unpack("<IQddd",
+                                                    _read_exact(fh, 36, path))
+        box_lo = np.frombuffer(_read_exact(fh, 8 * dim, path), dtype="<f8").copy()
+        box_hi = np.frombuffer(_read_exact(fh, 8 * dim, path), dtype="<f8").copy()
+        (taglen,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        tag = _read_exact(fh, taglen, path).decode("utf-8")
+        atoms = np.frombuffer(_read_exact(fh, 8 * dim * n, path),
+                              dtype="<f8").reshape(n, dim).copy()
+        weights = np.frombuffer(_read_exact(fh, 8 * n, path), dtype="<f8").copy()
     return DiscreteMeasure(
         dim=dim, atoms=atoms, weights=weights, total_mass=total,
         nominal_s=None if math.isnan(nominal) else nominal,

@@ -1,10 +1,10 @@
 """Convolution-type operators acting on weighted measures.
 
 Spherical averages, the [1,2]-range maximal operator, dyadic low-pass
-smoothing, generic multiplier convolutions, and Riesz-kernel row sums.
-Every operator has a fast frequency-side path through
-:mod:`frostlab.spectral`; the spherical average additionally ships a direct
-quadrature evaluator used as a cross-check oracle.
+smoothing, T_lambda convolution with a radial multiplier, and Riesz-kernel
+row sums.  Every operator has a fast frequency-side path through
+:class:`frostlab.spectral.Spectrum`; the spherical average additionally
+ships a direct quadrature evaluator used as a cross-check oracle.
 
 Normalization: all sphere multipliers belong to probability measures on the
 sphere (value 1 at the origin), so constants here are comparable across
@@ -14,7 +14,7 @@ dimensions only through exponents, not prefactors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,27 +22,21 @@ from scipy.spatial.distance import cdist
 from scipy.special import i0e, j0
 
 from .errors import ConfigError, DomainError, ParameterError
-from .measures import DiscreteMeasure, _sphere_area, _unit_ball_volume, measure_hash
+from .measures import DiscreteMeasure, _sphere_area, _unit_ball_volume
 from .spectral import (
     ComplexField,
     SpectralGrid,
+    Spectrum,
     _atom_values,
     _check_in_box,
     lowpass_phi_hat,
-    measure_fourier,
     mollifier_hat,
-    to_space,
 )
 
 __all__ = [
-    "KernelSpec",
-    "sphere_kernel",
-    "lowpass_dyadic_kernel",
-    "riesz_kernel",
-    "truncated_riesz_kernel",
-    "custom_kernel",
     "sphere_multiplier",
     "sphere_spatial_kernel",
+    "riesz_multiplier",
     "default_mollify_eps",
     "spherical_average",
     "quadrature_spherical_average",
@@ -53,29 +47,10 @@ __all__ = [
     "riesz_row_sum",
     "RieszRowReport",
     "sphere_l2_profile",
-    "make_run_manifest",
 ]
 
 
-# ---- kernel specifications ----
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A radial convolution kernel described on one or both sides of the transform.
-
-    multiplier maps |xi| arrays to multiplier values; spatial_form maps
-    (|x| array, eps) to mollified kernel values.  premollified kernels carry
-    their smoothing inside spatial_form / multiplier and receive no extra
-    damping in convolve_distribution.
-    """
-
-    kind: str
-    multiplier: Callable | None = None
-    spatial_form: Callable | None = None
-    mollify_eps: float | None = None
-    premollified: bool = False
-    params: dict = field(default_factory=dict)
-
+# ---- radial multipliers ----
 
 def sphere_multiplier(dim: int) -> Callable:
     """Transform of the probability measure on the unit sphere, as a radial function."""
@@ -110,108 +85,27 @@ def sphere_spatial_kernel(dim: int, t: float, eps: float, r) -> np.ndarray:
     raise ParameterError(f"sphere kernel needs dim 2 or 3, got {dim}")
 
 
-def sphere_kernel(dim: int, t: float, mollify_eps: float | None = None) -> KernelSpec:
-    if t <= 0:
-        raise ParameterError(f"sphere radius must be positive, got {t}")
-    base = sphere_multiplier(dim)
-    return KernelSpec(
-        kind="sphere",
-        multiplier=lambda rho: base(t * np.asarray(rho, dtype=np.float64)),
-        spatial_form=lambda r, eps: sphere_spatial_kernel(dim, t, eps, r),
-        mollify_eps=mollify_eps,
-        params={"dim": dim, "t": float(t)})
+def riesz_multiplier(grid: SpectralGrid, alpha: float) -> Callable:
+    """|xi|^-alpha, 0 < alpha < dim, with the origin cell given its mean.
 
-
-def lowpass_dyadic_kernel(dim: int, j: int) -> KernelSpec:
-    """Low-pass kernel at dyadic scale j: multiplier phi_hat(2^-j |xi|).
-
-    Spatial side is the dilated Gaussian 2^{jd} phi(2^j x); it is already
-    smooth, so the kernel is marked premollified.
+    The mean over the frequency cell at the origin is computed exactly on
+    the ball of equal volume; alpha < dim keeps the singularity locally
+    integrable, so it is finite.
     """
-    if dim not in (1, 2, 3):
-        raise ParameterError(f"dim must be 1, 2 or 3, got {dim}")
-    scale = 2.0 ** (-j)
-    amp = 2.0 ** (j * dim) * (math.pi / 36.0) ** (dim / 2.0)
-
-    def spatial(r, eps=None):
-        r = np.asarray(r, dtype=np.float64)
-        return amp * np.exp(-(math.pi ** 2) * (2.0 ** j * r) ** 2 / 36.0)
-
-    return KernelSpec(
-        kind="lowpass_dyadic",
-        multiplier=lambda rho: lowpass_phi_hat(scale * np.asarray(rho, dtype=np.float64)),
-        spatial_form=spatial,
-        premollified=True,
-        params={"dim": dim, "j": int(j)})
-
-
-def riesz_kernel(dim: int, alpha: float) -> KernelSpec:
-    """Kernel with multiplier |xi|^-alpha, 0 < alpha < dim (locally integrable)."""
-    if not (0.0 < alpha < dim):
+    d = grid.dim
+    if not (0.0 < alpha < d):
         raise ParameterError(
-            f"riesz exponent must satisfy 0 < alpha < dim, got alpha={alpha} dim={dim}")
+            f"riesz exponent must satisfy 0 < alpha < dim, got alpha={alpha} dim={d}")
+    cell = grid.freq_step ** d
+    r_eq = (cell / _unit_ball_volume(d)) ** (1.0 / d)
+    dc = _sphere_area(d) * r_eq ** (d - alpha) / ((d - alpha) * cell)
 
     def mult(rho):
         rho = np.asarray(rho, dtype=np.float64)
         with np.errstate(divide="ignore"):
-            return np.where(rho > 0.0, rho ** -alpha, np.inf)
+            return np.where(rho > 0.0, rho ** -alpha, dc)
 
-    return KernelSpec(kind="riesz", multiplier=mult,
-                      params={"dim": dim, "alpha": float(alpha)})
-
-
-_TRIESZ_TABLE_SIZE = 32768
-_TRIESZ_QUAD_NODES = 128
-
-
-def truncated_riesz_kernel(dim: int, alpha: float, eps: float,
-                           r_max: float) -> KernelSpec:
-    """Mollified |x|^{alpha-dim} on the unit ball, tabulated radially.
-
-    The profile is the shell integral of mollified sphere kernels,
-    S_{d-1} int_0^1 rho^{alpha-1} K(rho; r, eps) drho, computed by
-    Gauss-Legendre after substituting rho = u^{1/alpha} to flatten the
-    endpoint.  Both evaluation routes (gridded transform and direct sum)
-    consume the same table, so their disagreement isolates periodization
-    and binning error.
-    """
-    if dim not in (2, 3):
-        raise ParameterError(f"dim must be 2 or 3, got {dim}")
-    if not (0.0 < alpha < dim):
-        raise ParameterError(
-            f"truncation exponent must satisfy 0 < alpha < dim, got {alpha}")
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
-    if r_max <= 0:
-        raise ParameterError(f"r_max must be positive, got {r_max}")
-    nodes, wts = np.polynomial.legendre.leggauss(_TRIESZ_QUAD_NODES)
-    u = 0.5 * (nodes + 1.0)
-    uw = 0.5 * wts
-    rho = u ** (1.0 / alpha)
-    r_tab = np.linspace(0.0, r_max, _TRIESZ_TABLE_SIZE)
-    area = _sphere_area(dim)
-    k_tab = np.zeros_like(r_tab)
-    for p, w in zip(rho, uw):
-        k_tab += w * sphere_spatial_kernel(dim, p, eps, r_tab)
-    k_tab *= area / alpha
-
-    def spatial(r, _eps=None):
-        return np.interp(np.asarray(r, dtype=np.float64), r_tab, k_tab)
-
-    return KernelSpec(
-        kind="truncated_riesz_spatial",
-        spatial_form=spatial,
-        mollify_eps=float(eps),
-        premollified=True,
-        params={"dim": dim, "alpha": float(alpha), "eps": float(eps),
-                "r_max": float(r_max)})
-
-
-def custom_kernel(multiplier: Callable, spatial_form: Callable | None = None,
-                  mollify_eps: float | None = None, **params) -> KernelSpec:
-    return KernelSpec(kind="custom_multiplier", multiplier=multiplier,
-                      spatial_form=spatial_form, mollify_eps=mollify_eps,
-                      params=params)
+    return mult
 
 
 def default_mollify_eps(grid: SpectralGrid) -> float:
@@ -234,17 +128,15 @@ def spherical_average(f, mu: DiscreteMeasure, t: float, grid: SpectralGrid,
                       mollify_eps: float | None = None) -> ComplexField:
     """Average of f d(mu) over the radius-t sphere around each grid point.
 
-    Frequency-side composition: transform of the weighted measure, damped by
-    the sphere multiplier at dilation t and a Gaussian mollifier, inverted to
-    the space side.  The real part carries the average; the imaginary part is
-    roundoff for real inputs.
+    T_lambda with lambda the probability measure on the radius-t sphere:
+    transform of the weighted measure, damped by the sphere multiplier at
+    dilation t and a Gaussian mollifier, inverted to the space side.  The
+    real part carries the average; the imaginary part is roundoff for real
+    inputs.
     """
     _check_t(t, grid)
-    eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
-    hat = measure_fourier(f, mu, grid)
-    rho = grid.freq_radii()
-    mult = sphere_multiplier(grid.dim)(t * rho) * mollifier_hat(eps * rho)
-    return to_space(ComplexField(grid, hat.values * mult, rep="freq"))
+    base = sphere_multiplier(grid.dim)
+    return convolve_distribution(lambda rho: base(t * rho), f, mu, grid, mollify_eps)
 
 
 def quadrature_spherical_average(f, mu: DiscreteMeasure, t: float,
@@ -294,20 +186,17 @@ def maximal_function(f, mu: DiscreteMeasure, t_grid, grid: SpectralGrid,
             f"t_grid must lie in [1, 2], got range [{t_arr[0]}, {t_arr[-1]}]")
     _check_t(float(t_arr[-1]), grid)
     eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
-    hat = measure_fourier(f, mu, grid)
-    rho = grid.freq_radii()
-    damp = mollifier_hat(eps * rho)
+    spec = Spectrum(f, mu, grid)
+    damp = mollifier_hat(eps * spec.rho)
     base = sphere_multiplier(grid.dim)
     best = None
     for t in t_arr:
-        sp = to_space(ComplexField(grid, hat.values * (base(t * rho) * damp),
-                                   rep="freq"))
-        mag = np.abs(sp.values)
+        mag = np.abs(spec.apply(base(t * spec.rho) * damp).values)
         best = mag if best is None else np.maximum(best, mag)
     return ComplexField(grid, best.astype(np.complex128), rep="space")
 
 
-# ---- dyadic low-pass and generic convolution ----
+# ---- dyadic low-pass and T_lambda convolution ----
 
 def dyadic_operator(f, mu: DiscreteMeasure, j: int, grid: SpectralGrid) -> ComplexField:
     """Low-pass smoothing of f d(mu) at scale 2^-j via multiplier phi_hat(2^-j xi)."""
@@ -315,64 +204,32 @@ def dyadic_operator(f, mu: DiscreteMeasure, j: int, grid: SpectralGrid) -> Compl
         raise DomainError(
             f"dyadic scale 2^{j} exceeds freq_max/4 = {grid.freq_max / 4.0}; "
             "the pass band would alias")
-    hat = measure_fourier(f, mu, grid)
-    mult = lowpass_phi_hat(2.0 ** (-j) * grid.freq_radii())
-    return to_space(ComplexField(grid, hat.values * mult, rep="freq"))
+    spec = Spectrum(f, mu, grid)
+    return spec.apply(lowpass_phi_hat(2.0 ** (-j) * spec.rho))
 
 
-def _riesz_dc_value(grid: SpectralGrid, alpha: float) -> float:
-    """Mean of |xi|^-alpha over the frequency cell at the origin.
+def convolve_distribution(multiplier: Callable, f, mu: DiscreteMeasure,
+                          grid: SpectralGrid,
+                          mollify_eps: float | None = None) -> ComplexField:
+    """T_lambda f = lambda * (f d(mu)) for lambda with real radial transform.
 
-    Computed exactly on the ball of equal volume; valid because alpha < dim
-    keeps the singularity locally integrable.
+    multiplier maps |xi| arrays to the transform of lambda; it is damped by
+    the Gaussian mollifier at mollify_eps (default one band, 2/freq_max).
+    A non-finite multiplier value anywhere on the grid is a configuration
+    error: singular multipliers carry their own finite origin value, as
+    riesz_multiplier does.
     """
-    d = grid.dim
-    cell = grid.freq_step ** d
-    r_eq = (cell / _unit_ball_volume(d)) ** (1.0 / d)
-    return _sphere_area(d) * r_eq ** (d - alpha) / ((d - alpha) * cell)
-
-
-def convolve_distribution(kernel: KernelSpec, f, mu: DiscreteMeasure,
-                          grid: SpectralGrid) -> ComplexField:
-    """Convolve f d(mu) with a kernel given by multiplier or radial table.
-
-    Multiplier kernels are damped by the Gaussian mollifier at the kernel's
-    eps (default one band, 2/freq_max) unless premollified.  A singular
-    multiplier value away from the origin, or at the origin without a
-    finite-mean rule, is a configuration error.
-    """
-    hat = measure_fourier(f, mu, grid)
-    rho = grid.freq_radii()
-    if kernel.multiplier is not None:
-        mult = np.asarray(kernel.multiplier(rho), dtype=np.complex128)
-        bad = ~np.isfinite(mult)
-        if bad.any():
-            origin = rho == 0.0
-            if kernel.kind == "riesz" and not (bad & ~origin).any():
-                mult[origin] = _riesz_dc_value(grid, kernel.params["alpha"])
-            else:
-                raise ConfigError(
-                    "kernel.multiplier",
-                    f"{kernel.kind} kernel is singular at {int(bad.sum())} grid "
-                    "frequencies and no finite-mean rule applies")
-        if not kernel.premollified:
-            eps = (default_mollify_eps(grid) if kernel.mollify_eps is None
-                   else kernel.mollify_eps)
-            mult = mult * mollifier_hat(eps * rho)
-        return to_space(ComplexField(grid, hat.values * mult, rep="freq"))
-    if kernel.spatial_form is None:
-        raise ConfigError("kernel",
-                          f"{kernel.kind} has neither multiplier nor spatial form")
-    sampled = kernel.spatial_form(_space_radii(grid), kernel.mollify_eps)
-    kern_hat = np.fft.fftn(np.fft.ifftshift(sampled)) * grid.spacing ** grid.dim
-    return to_space(ComplexField(grid, hat.values * kern_hat, rep="freq"))
-
-
-def _space_radii(grid: SpectralGrid) -> np.ndarray:
-    """Radial distances from the origin, arranged for an ifftshifted kernel grid."""
-    ax = grid.space_axis()
-    mesh = np.meshgrid(*([ax] * grid.dim), indexing="ij")
-    return np.sqrt(sum(m * m for m in mesh))
+    eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
+    spec = Spectrum(f, mu, grid)
+    mult = np.asarray(multiplier(spec.rho), dtype=np.float64)
+    finite = np.isfinite(mult)
+    if not finite.all():
+        raise ConfigError("multiplier",
+                          f"singular at {finite.size - np.count_nonzero(finite)} "
+                          "grid frequencies; give the origin a finite mean")
+    # rebinding frees the bare multiplier before the inverse transform
+    mult = mult * mollifier_hat(eps * spec.rho)
+    return spec.apply(mult)
 
 
 # ---- Riesz row sums ----
@@ -428,28 +285,7 @@ def sphere_l2_profile(f, mu: DiscreteMeasure, grid: SpectralGrid,
     sigma_hat is kept intact and growth exponents are unbiased.
     """
     j_arr = [int(j) for j in np.atleast_1d(j_values)]
-    hat = measure_fourier(f, mu, grid)
-    power = np.abs(hat.values) ** 2
-    rho = grid.freq_radii()
-    cell = grid.freq_step ** grid.dim
+    spec = Spectrum(f, mu, grid)
     base = sphere_multiplier(grid.dim)
-    out = np.empty(len(j_arr))
-    for i, j in enumerate(j_arr):
-        mult = base(2.0 ** (-j) * rho)
-        out[i] = math.sqrt(float(np.sum(power * mult * mult)) * cell)
-    return out
-
-
-# ---- run manifests ----
-
-def make_run_manifest(kind: str, params: dict, grid: SpectralGrid,
-                      mu: DiscreteMeasure) -> dict:
-    """JSON-ready record of one operator run: kernel, grid shape, measure hash."""
-    return {
-        "kernel": {"kind": kind, "params": {k: params[k] for k in sorted(params)}},
-        "grid": {"dim": grid.dim, "n_per_axis": grid.n_per_axis,
-                 "box_half_width": grid.box_half_width},
-        "measure": {"hash": measure_hash(mu), "n_atoms": mu.n_atoms,
-                    "total_mass": mu.total_mass,
-                    "construction": mu.construction},
-    }
+    return np.array([math.sqrt(spec.energy(base(2.0 ** (-j) * spec.rho) ** 2))
+                     for j in j_arr])

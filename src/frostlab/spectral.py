@@ -18,8 +18,10 @@ Two evaluation paths feed the same contract:
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -27,7 +29,7 @@ import scipy.fft
 
 from .errors import DomainError, FitError, ParameterError, ResourceError
 from .fitting import FitReport, line_fit
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _read_exact
 
 _FIELD_MAGIC = b"FFLD0001"
 
@@ -42,9 +44,10 @@ _fft_workers = 1
 
 
 def set_fft_workers(n: int) -> None:
-    """Cap FFT worker threads (results are identical for any cap)."""
+    """Cap FFT worker threads at n and at the core count (results are
+    identical for any cap)."""
     global _fft_workers
-    _fft_workers = max(1, int(n))
+    _fft_workers = max(1, min(int(n), os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -298,6 +301,33 @@ def to_freq(field: ComplexField) -> ComplexField:
     return ComplexField(g, vals, "freq")
 
 
+class Spectrum:
+    """The transform of f dmu on a grid, with |xi| on the same lattice.
+
+    Every frequency-side operator is one real radial multiplier applied to
+    this transform, then inverted (apply) or reduced to an energy (energy);
+    the transform and the radii are computed once per (f, mu, grid).
+    """
+
+    def __init__(self, f, mu: DiscreteMeasure, grid: SpectralGrid):
+        self.grid = grid
+        self.hat = measure_fourier(f, mu, grid).values
+        self.rho = grid.freq_radii()
+
+    @cached_property
+    def _power(self) -> np.ndarray:
+        return np.abs(self.hat) ** 2
+
+    def apply(self, mult) -> ComplexField:
+        """Space-side field of the transform times mult."""
+        return to_space(ComplexField(self.grid, self.hat * mult, "freq"))
+
+    def energy(self, weight) -> float:
+        """Riemann sum of |transform|^2 * weight over the frequency lattice."""
+        g = self.grid
+        return float(np.sum(self._power * weight)) * g.freq_step ** g.dim
+
+
 def field_l2sq(field: ComplexField) -> float:
     """Riemann-sum L^2 norm squared in the field's own representation."""
     g = field.grid
@@ -408,11 +438,8 @@ def littlewood_paley(field: ComplexField, j: int) -> ComplexField:
         raise ParameterError("littlewood_paley expects a frequency-side field")
     if j < 0:
         raise ParameterError(f"j must be nonnegative, got {j}")
-    hi = CUTOFFS["littlewood_paley_annulus"].support[1]
-    if j >= 1 and 2.0**j * hi > field.grid.freq_max:
-        raise DomainError(
-            f"annulus 2^{j} * [{CUTOFFS['littlewood_paley_annulus'].support[0]}, {hi}] "
-            f"exceeds freq_max {field.grid.freq_max}")
+    if j >= 1:
+        _check_annulus(field.grid, j)
     radii = field.grid.freq_radii()
     mult = beta0(radii) if j == 0 else annulus_beta(radii * 2.0**-j)
     return ComplexField(field.grid, field.values * mult, "freq")
@@ -466,35 +493,20 @@ def strichartz_profile(f, mu: DiscreteMeasure, grid: SpectralGrid,
         raise ParameterError("radii must be >= 1")
     if np.any(r_values > grid.freq_max):
         raise DomainError(f"radius beyond freq_max {grid.freq_max}")
-    field = measure_fourier(f, mu, grid)
-    radii = grid.freq_radii()
-    power = np.abs(field.values) ** 2
-    cell = grid.freq_step**grid.dim
-    out = np.empty(r_values.size)
-    for i, r in enumerate(r_values):
-        out[i] = r ** -(grid.dim - s) * float(power[radii <= r].sum()) * cell
-    return out
-
-
-def strichartz_energy(f, mu: DiscreteMeasure, grid: SpectralGrid,
-                      r: float, s: float) -> float:
-    """Single-radius version of strichartz_profile."""
-    return float(strichartz_profile(f, mu, grid, [r], s)[0])
+    spec = Spectrum(f, mu, grid)
+    return np.array([r ** -(grid.dim - s) * spec.energy(spec.rho <= r)
+                     for r in r_values])
 
 
 def annulus_energy_profile(f, nu: DiscreteMeasure, grid: SpectralGrid,
                            j_values) -> np.ndarray:
-    """Annulus energies for several j sharing one transform of f dnu."""
-    field = measure_fourier(f, nu, grid)
-    power = np.abs(field.values) ** 2
-    cell = grid.freq_step**grid.dim
-    return np.array([float(np.sum(annulus_band_weight(grid, j) * power)) * cell
+    """int |transform of f dnu|^2 beta(2^-j xi) dxi for several j >= 1."""
+    j_values = list(j_values)
+    for j in j_values:
+        _check_annulus(grid, j)
+    spec = Spectrum(f, nu, grid)
+    return np.array([spec.energy(annulus_beta(spec.rho * 2.0**-j))
                      for j in j_values])
-
-
-def annulus_energy(f, nu: DiscreteMeasure, grid: SpectralGrid, j: int) -> float:
-    """int |transform of f dnu|^2 beta(2^-j xi) dxi over the grid."""
-    return float(annulus_energy_profile(f, nu, grid, [j])[0])
 
 
 def annulus_growth_fit(f, nu: DiscreteMeasure, grid: SpectralGrid,
@@ -507,14 +519,14 @@ def annulus_growth_fit(f, nu: DiscreteMeasure, grid: SpectralGrid,
     return line_fit(j_arr, np.log2(energies))
 
 
-def annulus_band_weight(grid: SpectralGrid, j: int) -> np.ndarray:
-    """beta(2^-j |xi|) on the grid (j >= 1), with the aliasing guard."""
+def _check_annulus(grid: SpectralGrid, j: int) -> None:
+    """Annuli start at j = 1, and 2^j * support must fit below freq_max."""
     if j < 1:
         raise ParameterError("annulus weights start at j = 1")
-    hi = CUTOFFS["littlewood_paley_annulus"].support[1]
+    lo, hi = CUTOFFS["littlewood_paley_annulus"].support
     if 2.0**j * hi > grid.freq_max:
-        raise DomainError(f"annulus 2^{j} exceeds freq_max {grid.freq_max}")
-    return annulus_beta(grid.freq_radii() * 2.0**-j)
+        raise DomainError(
+            f"annulus 2^{j} * [{lo}, {hi}] exceeds freq_max {grid.freq_max}")
 
 
 # ---- serialization ----
@@ -536,10 +548,10 @@ def load_field_binary(path) -> ComplexField:
         magic = fh.read(8)
         if magic != _FIELD_MAGIC:
             raise ParameterError(f"{path}: bad magic {magic!r}")
-        dim, n, L, repflag = struct.unpack("<IQdB", fh.read(21))
+        dim, n, L, repflag = struct.unpack("<IQdB", _read_exact(fh, 21, path))
         grid = SpectralGrid(dim=dim, n_per_axis=n, box_half_width=L)
         count = 2 * n**dim
-        inter = np.frombuffer(fh.read(8 * count), dtype="<f8")
+        inter = np.frombuffer(_read_exact(fh, 8 * count, path), dtype="<f8")
     values = (inter[0::2] + 1j * inter[1::2]).reshape((n,) * dim)
     return ComplexField(grid, values.copy(), "freq" if repflag == 0 else "space")
 

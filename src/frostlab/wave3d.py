@@ -30,10 +30,9 @@ from .operators import (
 from .spectral import (
     ComplexField,
     SpectralGrid,
-    measure_fourier,
+    Spectrum,
     mollifier_hat,
     save_field_binary,
-    to_space,
 )
 
 __all__ = [
@@ -143,15 +142,13 @@ def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
     for t in t_arr:
         _check_t(t, grid)
     eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
-    hat = measure_fourier(f, mu, grid)
-    rho = grid.freq_radii()
-    damp = mollifier_hat(eps * rho)
-    target = to_space(ComplexField(grid, hat.values * damp, rep="freq")).values.real
+    spec = Spectrum(f, mu, grid)
+    damp = mollifier_hat(eps * spec.rho)
+    target = spec.apply(damp).values.real
     base = sphere_multiplier(3)
     errors = []
     for t in t_arr:
-        sp = to_space(ComplexField(grid, hat.values * base(t * rho) * damp,
-                                   rep="freq"))
+        sp = spec.apply(base(t * spec.rho) * damp)
         errors.append(float(np.max(np.abs(sp.values.real - target))))
     fit = loglog_fit(t_arr, errors)
     return PointwiseReport(times=t_arr, errors=tuple(errors), fit=fit)

@@ -61,6 +61,19 @@ def test_unknown_field_reports_dotted_path(tmp_path, capsys):
     assert "measure.bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, path", [
+    ("avg", {"t": "x"}, "t"),
+    ("avg", {"grid": {"n_per_axis": 256.0}}, "grid.n_per_axis"),
+    ("growth", {"j_values": "abc"}, "j_values"),
+    ("strichartz", {"radii": []}, "radii"),
+])
+def test_ill_typed_config_value_exits_3(tmp_path, capsys, command, doc, path):
+    cfg = _cfg(tmp_path, "c.json", {"experiment": command, **doc})
+    rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert f"frostlab: config error: {path}: " in capsys.readouterr().err
+
+
 def test_invalid_measure_parameter_exits_3(tmp_path, capsys):
     cfg = _cfg(tmp_path, "c.json", {
         "experiment": "gen-measure",

@@ -293,3 +293,12 @@ def test_binary_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTMEAS1" + b"\x00" * 64)
     with pytest.raises(ParameterError):
         load_measure_binary(path)
+
+
+@pytest.mark.parametrize("keep", [20, -5])
+def test_binary_rejects_truncated_file(tmp_path, keep):
+    path = tmp_path / "m.fmeas"
+    save_measure_binary(cantor_measure(0.25, 4), path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ParameterError, match="truncated"):
+        load_measure_binary(path)

@@ -1,12 +1,10 @@
 """Operator tests: dual-route agreement, scaling laws, row sums, validation."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 from frostlab.errors import ConfigError, DomainError, ParameterError
 from frostlab.measures import (
@@ -17,26 +15,26 @@ from frostlab.measures import (
     sphere_measure,
 )
 from frostlab.operators import (
-    KernelSpec,
     convolve_distribution,
-    custom_kernel,
     default_mollify_eps,
     default_t_grid,
     dyadic_operator,
-    lowpass_dyadic_kernel,
-    make_run_manifest,
     maximal_function,
     quadrature_spherical_average,
-    riesz_kernel,
+    riesz_multiplier,
     riesz_row_sum,
-    sphere_kernel,
     sphere_l2_profile,
     sphere_multiplier,
     sphere_spatial_kernel,
     spherical_average,
-    truncated_riesz_kernel,
 )
-from frostlab.spectral import SpectralGrid, field_at_points
+from frostlab.spectral import (
+    SpectralGrid,
+    Spectrum,
+    field_at_points,
+    field_l2sq,
+    lowpass_phi_hat,
+)
 
 G2_256 = SpectralGrid(2, 256, 2.0)
 G2_512 = SpectralGrid(2, 512, 2.0)
@@ -50,33 +48,24 @@ def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def direct_sum(kernel_vals, pts, mu, coeffs, chunk=32):
-    out = np.zeros(pts.shape[0])
-    for lo in range(0, mu.n_atoms, chunk):
-        d = cdist(pts, mu.atoms[lo:lo + chunk])
-        out += kernel_vals(d) @ coeffs[lo:lo + chunk]
-    return out
-
-
 def grid_points(grid):
     ax = grid.space_axis()
     mesh = np.meshgrid(*([ax] * grid.dim), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-# ---- kernel specifications ----
+# ---- radial multipliers ----
 
 def test_sphere_multiplier_is_one_at_origin():
     assert sphere_multiplier(2)(0.0) == pytest.approx(1.0, abs=1e-15)
     assert sphere_multiplier(3)(0.0) == pytest.approx(1.0, abs=1e-15)
-    k = sphere_kernel(3, 0.7)
-    assert k.multiplier(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-15)
+    assert sphere_multiplier(3)(0.7 * np.array([0.0]))[0] == pytest.approx(
+        1.0, abs=1e-15)
 
 
 def test_lowpass_multiplier_nonnegative_unit_dc():
-    k = lowpass_dyadic_kernel(2, 3)
     rho = np.linspace(0.0, 50.0, 2001)
-    vals = k.multiplier(rho)
+    vals = lowpass_phi_hat(2.0 ** -3 * rho)
     assert vals[0] == 1.0
     assert np.all(vals >= 0.0)
 
@@ -85,17 +74,11 @@ def test_kernel_parameter_validation():
     with pytest.raises(ParameterError):
         sphere_multiplier(4)
     with pytest.raises(ParameterError):
-        sphere_kernel(2, 0.0)
+        spherical_average(None, CANTOR45SQ, 0.0, G2_256)
     with pytest.raises(ParameterError):
-        riesz_kernel(2, 2.0)
+        riesz_multiplier(G2_256, 2.0)
     with pytest.raises(ParameterError):
-        riesz_kernel(2, -0.1)
-    with pytest.raises(ParameterError):
-        truncated_riesz_kernel(2, 1.2, 0.0, 3.0)
-    with pytest.raises(ParameterError):
-        truncated_riesz_kernel(2, 1.2, 0.05, -1.0)
-    with pytest.raises(ParameterError):
-        truncated_riesz_kernel(4, 1.2, 0.05, 3.0)
+        riesz_multiplier(G2_256, -0.1)
 
 
 # ---- spherical average: dual-route fixtures ----
@@ -280,11 +263,29 @@ def test_dyadic_alias_guard():
         dyadic_operator(None, CANTOR45SQ, 5, G2_256)
 
 
-# ---- generic convolution ----
+# ---- T_lambda convolution ----
+
+def test_sphere_multiplier_convolution_is_spherical_average():
+    dirac3 = measure_from_atoms(np.zeros((1, 3)), np.ones(1))
+    for grid, mu, t in ((G2_256, CANTOR45SQ, 0.7), (G3_64, dirac3, 0.5)):
+        base = sphere_multiplier(grid.dim)
+        via_t = convolve_distribution(lambda r: base(t * r), None, mu, grid)
+        direct = spherical_average(None, mu, t, grid)
+        np.testing.assert_array_equal(via_t.values, direct.values)
+
+
+def test_spectrum_energy_is_grid_parseval():
+    spec = Spectrum(None, CANTOR45SQ, G2_256)
+    base = sphere_multiplier(2)
+    for j in (1, 3, 5):
+        w = base(2.0 ** -j * spec.rho)
+        reduced = spec.energy(w ** 2)
+        inverted = field_l2sq(spec.apply(w))
+        assert reduced == pytest.approx(inverted, rel=1e-10)
+
 
 def test_identity_multiplier_returns_mollified_density():
-    kern = custom_kernel(lambda rho: np.ones_like(rho))
-    out = convolve_distribution(kern, None, DIRAC2, G2_512)
+    out = convolve_distribution(lambda rho: np.ones_like(rho), None, DIRAC2, G2_512)
     eps = default_mollify_eps(G2_512)
     r = np.linalg.norm(grid_points(G2_512), axis=1).reshape(out.values.shape)
     ref = (2.0 * math.pi * eps * eps) ** -1.0 * np.exp(-r * r / (2.0 * eps * eps))
@@ -292,49 +293,35 @@ def test_identity_multiplier_returns_mollified_density():
 
 
 def test_riesz_dc_rule_allows_singular_origin():
-    out = convolve_distribution(riesz_kernel(2, 1.2), None, CANTOR45SQ, G2_256)
+    mult = riesz_multiplier(G2_256, 1.2)
+    assert np.isfinite(mult(np.array([0.0])))[0]
+    out = convolve_distribution(mult, None, CANTOR45SQ, G2_256)
     assert np.isfinite(out.values.real).all()
 
 
 def test_singular_multiplier_without_rule_rejected():
-    bad_origin = custom_kernel(
-        lambda rho: np.where(rho == 0.0, np.inf, np.ones_like(rho)))
     with pytest.raises(ConfigError):
-        convolve_distribution(bad_origin, None, CANTOR45SQ, G2_256)
+        convolve_distribution(
+            lambda rho: np.where(rho == 0.0, np.inf, np.ones_like(rho)),
+            None, CANTOR45SQ, G2_256)
     step = G2_256.freq_step
-    bad_off = custom_kernel(
-        lambda rho: np.where(np.isclose(rho, step), np.inf, np.ones_like(rho)))
     with pytest.raises(ConfigError):
-        convolve_distribution(bad_off, None, CANTOR45SQ, G2_256)
-
-
-def test_kernel_without_either_side_rejected():
-    with pytest.raises(ConfigError):
-        convolve_distribution(KernelSpec(kind="empty"), None, CANTOR45SQ, G2_256)
+        convolve_distribution(
+            lambda rho: np.where(np.isclose(rho, step), np.inf, np.ones_like(rho)),
+            None, CANTOR45SQ, G2_256)
 
 
 def test_riesz_sup_bounded_for_large_alpha():
     g = SpectralGrid(2, 1024, 2.0)
+    mult = riesz_multiplier(g, 1.2)
     sups = []
     for k in (4, 5, 6):
         mu = product_measure([cantor_measure(0.25, k)] * 2)
-        out = convolve_distribution(riesz_kernel(2, 1.2), None, mu, g)
+        out = convolve_distribution(mult, None, mu, g)
         idx = np.round((mu.atoms + 2.0) / g.spacing).astype(int)
         sups.append(out.values.real[idx[:, 0], idx[:, 1]].max())
     assert 0.9 < sups[1] / sups[0] < 1.1
     assert 0.9 < sups[2] / sups[1] < 1.1
-
-
-def test_truncated_riesz_dual_route():
-    mu = product_measure([cantor_measure(0.25, 4)] * 2)
-    mu = dataclasses.replace(mu, atoms=mu.atoms - 0.5, box_lo=mu.box_lo - 0.5,
-                             box_hi=mu.box_hi - 0.5)
-    eps = default_mollify_eps(G2_512)
-    kern = truncated_riesz_kernel(2, 1.2, eps, r_max=3.0)
-    fast = convolve_distribution(kern, None, mu, G2_512)
-    pts = grid_points(G2_512)
-    slow = direct_sum(lambda d: kern.spatial_form(d, eps), pts, mu, mu.weights)
-    assert rel_l2(fast.values.real.ravel(), slow) < 1e-6
 
 
 # ---- Riesz row sums ----
@@ -424,14 +411,3 @@ def test_dilation_identity():
     reference = spherical_average(None, mu, 0.4, g1)
     err = np.abs(dilated.values - 0.25 * reference.values).max()
     assert err < 1e-6 * np.abs(reference.values).max()
-
-
-# ---- manifests ----
-
-def test_run_manifest_round_trips_json():
-    man = make_run_manifest("sphere", {"t": 0.7, "dim": 2}, G2_256, CANTOR45SQ)
-    again = make_run_manifest("sphere", {"dim": 2, "t": 0.7}, G2_256, CANTOR45SQ)
-    assert man == again
-    assert len(man["measure"]["hash"]) == 64
-    assert man["grid"]["n_per_axis"] == 256
-    json.dumps(man)

@@ -1,11 +1,13 @@
 """Transforms vs the direct-sum oracle, cutoff hygiene, and scaling fits."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.special import j0
 
+from frostlab import spectral
 from frostlab.errors import DomainError, FitError, ParameterError, ResourceError
 from frostlab.measures import (
     cantor_measure,
@@ -21,7 +23,6 @@ from frostlab.spectral import (
     CUTOFFS,
     SpectralGrid,
     annulus_beta,
-    annulus_energy,
     annulus_energy_profile,
     annulus_growth_fit,
     beta0,
@@ -37,7 +38,7 @@ from frostlab.spectral import (
     mollifier_hat,
     partition_residual,
     save_field_binary,
-    strichartz_energy,
+    set_fft_workers,
     strichartz_profile,
     to_freq,
     to_space,
@@ -73,6 +74,16 @@ def test_grid_invariants():
     assert g.spacing == pytest.approx(4.0 / 512)
     assert g.freq_step == pytest.approx(0.25)
     np.testing.assert_allclose(g.axis_freqs(), np.fft.fftfreq(512, d=g.spacing))
+
+
+def test_fft_workers_capped_at_core_count():
+    old = spectral._fft_workers
+    try:
+        set_fft_workers(10**6)
+        assert spectral._fft_workers == (os.cpu_count() or 1)
+    finally:
+        set_fft_workers(old)
+    assert spectral._fft_workers == old
 
 
 def test_grid_validation():
@@ -298,12 +309,12 @@ def test_strichartz_cantor_square_bounded_ratios():
 
 
 def test_strichartz_zero_f_and_preconditions():
-    assert strichartz_energy(np.zeros(CANTOR4SQ.n_atoms), CANTOR4SQ, GRID2,
-                             4.0, 1.0) == 0.0
+    zero = np.zeros(CANTOR4SQ.n_atoms)
+    assert strichartz_profile(zero, CANTOR4SQ, GRID2, [4.0], 1.0)[0] == 0.0
     with pytest.raises(DomainError):
-        strichartz_energy(None, CANTOR4SQ, GRID2, 100.0, 1.0)
+        strichartz_profile(None, CANTOR4SQ, GRID2, [100.0], 1.0)
     with pytest.raises(ParameterError):
-        strichartz_energy(None, CANTOR4SQ, GRID2, 0.5, 1.0)
+        strichartz_profile(None, CANTOR4SQ, GRID2, [0.5], 1.0)
 
 
 def test_strichartz_bounded_by_mass_multiple():
@@ -332,7 +343,8 @@ def test_annulus_energy_growth_cantor_square():
 
 def test_annulus_energy_zero_f_and_lebesgue_decay():
     grid = SpectralGrid(2, 512, 1.0)
-    assert annulus_energy(np.zeros(CANTOR4SQ.n_atoms), CANTOR4SQ, grid, 3) == 0.0
+    zero = np.zeros(CANTOR4SQ.n_atoms)
+    assert annulus_energy_profile(zero, CANTOR4SQ, grid, [3])[0] == 0.0
     leb = lebesgue_box_measure(2, 0.5, 128)
 
     def smooth(a):
@@ -361,6 +373,15 @@ def test_field_binary_bad_magic(tmp_path):
     path = tmp_path / "bad.ffld"
     path.write_bytes(b"XXLD0001" + b"\x00" * 32)
     with pytest.raises(ParameterError):
+        load_field_binary(path)
+
+
+@pytest.mark.parametrize("keep", [20, -5])
+def test_field_binary_rejects_truncated_file(tmp_path, keep):
+    path = tmp_path / "f.ffld"
+    save_field_binary(measure_fourier(None, dirac(2), SpectralGrid(2, 16, 2.0)), path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ParameterError, match="truncated"):
         load_field_binary(path)
 
 
