@@ -1,10 +1,12 @@
 """Batch front-end: one experiment per invocation, reproducible artifacts.
 
 Every subcommand reads an optional JSON config (top-level ``experiment``
-key must match the subcommand), materializes all defaults, runs the
-experiment, and writes its artifacts plus a ``manifest.json`` recording
-the materialized config, its hash, the seed, and library versions.  No
-timestamps anywhere: identical config and seed give byte-identical files.
+key must match the subcommand) through one reader that applies each
+field's default, checks the value's type against it and records it, runs
+the experiment, and writes its artifacts plus a ``manifest.json`` holding
+that record (the materialized config), its hash, the seed, and library
+versions.  No timestamps anywhere: identical config and seed give
+byte-identical files.
 
 Exit codes: 0 success, 1 acceptance-suite failure, 2 usage, 3 invalid
 config or parameters (message carries the field path), 4 resource limit.
@@ -78,61 +80,110 @@ from .wave3d import (
 
 __all__ = ["main"]
 
-_REQUIRED = object()
+
+# ---- config reader ----
+
+_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings")}
 
 
-# ---- config plumbing ----
-
-def _pop(cfg: dict, key: str, default, prefix: str = ""):
-    if key in cfg:
-        return cfg.pop(key)
-    if default is _REQUIRED:
-        raise ConfigError(prefix + key, "missing required field")
-    return default
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _fits(value, kind: type) -> bool:
+    if isinstance(value, bool):
+        return False
+    if kind is float:  # an integer beyond the float range is no number here
+        return isinstance(value, float) or (
+            isinstance(value, int) and abs(value) <= sys.float_info.max)
+    return isinstance(value, kind)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _conform(path: str, value, default):
+    """value checked against the type of its default.
+
+    An int default takes JSON integers only (never bools), a float default
+    any JSON number and yields a float, a list default a nonempty list of
+    its elements' type, a str default a string.  A type given as the
+    default (a required field) checks the same way, and a None default
+    (radial-power's log_u) takes null or a number.
+    """
+    if default is None:
+        return None if value is None else _conform(path, value, float)
+    kind = default if isinstance(default, type) else type(default)
+    if kind is list:
+        item = type(default[0]) if default else float
+        if isinstance(value, list) and value and all(_fits(v, item)
+                                                     for v in value):
+            return [item(v) for v in value]
+        raise ConfigError(path, f"must be a nonempty list of"
+                          f" {_TYPE_NAMES[item][1]}, got {value!r}")
+    if not _fits(value, kind):
+        raise ConfigError(path, f"must be {_TYPE_NAMES[kind][0]},"
+                          f" got {value!r}")
+    return kind(value)
 
 
-def _pop_int(cfg: dict, key: str, default, prefix: str = ""):
-    value = _pop(cfg, key, default, prefix)
-    if not _is_int(value):
-        raise ConfigError(prefix + key, f"must be an integer, got {value!r}")
-    return value
+class _Reader:
+    """One JSON config object, read field by field.
 
+    Each read applies the field's default, conforms the value to it and
+    records it under the field's name, so ``record`` is the materialized
+    config that manifest.json stores.  ``done`` rejects unread fields.
+    """
 
-def _pop_number(cfg: dict, key: str, default, prefix: str = ""):
-    value = _pop(cfg, key, default, prefix)
-    if not _is_number(value):
-        raise ConfigError(prefix + key, f"must be a number, got {value!r}")
-    return value
+    def __init__(self, doc: dict, path: str = ""):
+        self._doc = dict(doc)
+        self._path = path
+        self._sections = []
+        self.record = {}
 
+    def get(self, key: str, default):
+        """The field's value conformed to default; a type as the default
+        makes the field required."""
+        path = self._path + key
+        if key in self._doc:
+            value = self._doc.pop(key)
+        elif isinstance(default, type):
+            raise ConfigError(path, "missing required field")
+        else:
+            value = default
+        self.record[key] = value = _conform(path, value, default)
+        return value
 
-def _pop_list(cfg: dict, key: str, default, of_ints: bool = False):
-    """A nonempty JSON list of numbers (integers when of_ints)."""
-    value = _pop(cfg, key, default)
-    ok = _is_int if of_ints else _is_number
-    if not (isinstance(value, list) and value and all(ok(v) for v in value)):
-        what = "integers" if of_ints else "numbers"
-        raise ConfigError(key, f"must be a nonempty list of {what}, got {value!r}")
-    return value
+    def fields(self, defaults: dict) -> dict:
+        """Every field of defaults, read in order."""
+        return {key: self.get(key, dflt) for key, dflt in defaults.items()}
 
+    def choice(self, key: str, options, default=str) -> str:
+        """A string field that must be one of options (required by default)."""
+        value = self.get(key, default)
+        if value not in options:
+            raise ConfigError(self._path + key,
+                              f"must be one of {', '.join(options)},"
+                              f" got {value!r}")
+        return value
 
-def _reject_unknown(cfg: dict, prefix: str = ""):
-    if cfg:
-        raise ConfigError(prefix + sorted(cfg)[0], "unknown field")
+    def section(self, key: str, default: dict | None):
+        """The JSON object at key as a nested reader recorded under key.
 
+        An absent section reads as default; an optional section (default
+        None) may also be null, and then there is nothing to read.
+        """
+        raw = self._doc.pop(key, default)
+        if raw is None and default is None:
+            return None
+        if not isinstance(raw, dict):
+            raise ConfigError(self._path + key, "must be a JSON object")
+        sub = _Reader(raw, self._path + key + ".")
+        self.record[key] = sub.record
+        self._sections.append(sub)
+        return sub
 
-def _section(cfg: dict, key: str, default: dict) -> dict:
-    raw = _pop(cfg, key, default)
-    if not isinstance(raw, dict):
-        raise ConfigError(key, "must be a JSON object")
-    return dict(raw)
+    def done(self):
+        """Reject the first field left unread, here or in a section."""
+        if self._doc:
+            raise ConfigError(self._path + sorted(self._doc)[0],
+                              "unknown field")
+        for sub in self._sections:
+            sub.done()
 
 
 def _load_config(path, subcommand: str) -> dict:
@@ -159,84 +210,67 @@ def _load_config(path, subcommand: str) -> dict:
     return doc
 
 
-def _build_grid(cfg: dict, default: dict) -> tuple:
-    section = _section(cfg, "grid", default)
-    dim = _pop_int(section, "dim", default["dim"], "grid.")
-    n = _pop_int(section, "n_per_axis", default["n_per_axis"], "grid.")
-    half = _pop_number(section, "box_half_width", default["box_half_width"],
-                       "grid.")
-    _reject_unknown(section, "grid.")
+def _build_grid(r: _Reader, default: dict) -> SpectralGrid:
     try:
-        grid = SpectralGrid(dim, n, half)
+        return SpectralGrid(**r.section("grid", default).fields(default))
     except (ParameterError, DomainError) as e:
         raise ConfigError("grid", str(e))
-    return grid, {"dim": dim, "n_per_axis": n, "box_half_width": half}
 
+
+# kind -> (field defaults, builder of (fields, run seed)); the builders name
+# the library functions at call time, so wrapping them (tracing) still works
+_MEASURES = {
+    "cantor": ({"ratio": 0.25, "depth": 6},
+               lambda p, seed: cantor_measure(**p)),
+    "product-cantor": ({"ratio": 0.25, "depth": 6, "copies": 2},
+                       lambda p, seed: product_measure(
+                           [cantor_measure(p["ratio"], p["depth"])]
+                           * p["copies"])),
+    "lebesgue-box": ({"d": 2, "half_width": 1.0, "n_cells": 64},
+                     lambda p, seed: lebesgue_box_measure(**p)),
+    "sphere": ({"d": 2, "t": 1.0, "n_points": 2048},
+               lambda p, seed: sphere_measure(**p)),
+    "random-ball": ({"d": 2, "n_atoms": 4096, "radius": 1.0},
+                    lambda p, seed: random_ball_measure(**p, seed=seed)),
+    "radial-power": ({"d": 2, "s": 1.5, "grid_n": 64, "log_u": None},
+                     lambda p, seed: radial_power_measure(**p)),
+}
 
 _DEFAULT_MEASURE = {"kind": "product-cantor", "ratio": 0.25, "depth": 6,
                     "copies": 2}
 
+_GRID_2D = {"dim": 2, "n_per_axis": 256, "box_half_width": 2.0}
 
-def _build_measure(cfg: dict, seed: int, key: str = "measure",
-                   default: dict | None = None) -> tuple:
-    section = _section(cfg, key, default or dict(_DEFAULT_MEASURE))
-    prefix = key + "."
-    kind = _pop(section, "kind", _REQUIRED, prefix)
-    out = {"kind": kind}
 
-    def take(name, dflt=_REQUIRED):
-        out[name] = _pop(section, name, dflt, prefix)
-        return out[name]
-
+def _build_measure(r: _Reader, seed: int, key: str = "measure",
+                   default: dict = _DEFAULT_MEASURE):
+    m = r.section(key, default)
+    kind = m.choice("kind", _MEASURES)
+    fields, build = _MEASURES[kind]
+    params = m.fields(fields)
+    if kind == "random-ball":
+        m.record["seed"] = seed  # the run seed draws the atoms
     try:
-        if kind == "cantor":
-            mu = cantor_measure(take("ratio", 0.25), take("depth", 6))
-        elif kind == "product-cantor":
-            ratio, depth = take("ratio", 0.25), take("depth", 6)
-            mu = product_measure([cantor_measure(ratio, depth)]
-                                 * take("copies", 2))
-        elif kind == "lebesgue-box":
-            mu = lebesgue_box_measure(take("d", 2), take("half_width", 1.0),
-                                      take("n_cells", 64))
-        elif kind == "sphere":
-            mu = sphere_measure(take("d", 2), take("t", 1.0),
-                                take("n_points", 2048))
-        elif kind == "random-ball":
-            mu = random_ball_measure(take("d", 2), take("n_atoms", 4096),
-                                     seed, take("radius", 1.0))
-            out["seed"] = seed
-        elif kind == "radial-power":
-            mu = radial_power_measure(take("d", 2), take("s", 1.5),
-                                      take("grid_n", 64), take("log_u", None))
-        else:
-            raise ConfigError(prefix + "kind", f"unknown measure kind {kind!r}")
+        return build(params, seed)
     except (ParameterError, DomainError) as e:
         raise ConfigError(key, str(e))
-    _reject_unknown(section, prefix)
-    return mu, out
 
 
-def _build_density(cfg: dict) -> tuple:
-    section = _pop(cfg, "density", None)
-    if section is None:
-        return None, {"kind": "one"}
-    if not isinstance(section, dict):
-        raise ConfigError("density", "must be a JSON object or null")
-    section = dict(section)
-    kind = _pop(section, "kind", _REQUIRED, "density.")
-    if kind == "one":
-        _reject_unknown(section, "density.")
-        return None, {"kind": "one"}
-    if kind == "gaussian":
-        width = _pop(section, "width", 0.35, "density.")
-        _reject_unknown(section, "density.")
-        if not (isinstance(width, (int, float)) and width > 0):
-            raise ConfigError("density.width", f"must be positive, got {width}")
-        f = lambda pts: np.exp(
-            -np.sum(np.asarray(pts, dtype=float) ** 2, axis=-1)
-            / (2.0 * float(width) ** 2))
-        return f, {"kind": "gaussian", "width": width}
-    raise ConfigError("density.kind", f"unknown density kind {kind!r}")
+def _build_density(r: _Reader, wave: bool = False):
+    """The density f, None for the constant 1.  A missing or null section
+    is kind "one", which a wave run reads as the 0.35-width Gaussian."""
+    d = r.section("density", None) or r.section("density", {"kind": "one"})
+    if d.choice("kind", ("one", "gaussian")) == "one":
+        if not wave:
+            return None
+        d = r.section("density", {"kind": "gaussian"})
+        d.get("kind", str)
+    width = d.get("width", 0.35)
+    if not width > 0:
+        raise ConfigError("density.width", f"must be positive, got {width}")
+    return lambda pts: np.exp(
+        -np.sum(np.asarray(pts, dtype=float) ** 2, axis=-1)
+        / (2.0 * width ** 2))
 
 
 # ---- artifact plumbing ----
@@ -278,45 +312,32 @@ def _field_slice_rows(field):
     """Central-slice CSV of a grid field: full plane in 2d, z = 0 plane in 3d."""
     g = field.grid
     ax = g.space_axis()
-    v = field.values
-    rows = []
-    if g.dim == 1:
-        rows.append("x,re,im")
-        for i in range(g.n_per_axis):
-            rows.append(f"{float(ax[i])!r},{float(v[i].real)!r},"
-                        f"{float(v[i].imag)!r}")
-    elif g.dim == 2:
-        rows.append("x,y,re,im")
-        for i in range(g.n_per_axis):
-            for j in range(g.n_per_axis):
-                rows.append(f"{float(ax[i])!r},{float(ax[j])!r},"
-                            f"{float(v[i, j].real)!r},{float(v[i, j].imag)!r}")
-    else:
+    v, z = field.values, ""
+    if g.dim == 3:
         k = g.n_per_axis // 2
-        z = float(ax[k])
-        rows.append("x,y,z,re,im")
-        for i in range(g.n_per_axis):
-            for j in range(g.n_per_axis):
-                rows.append(f"{float(ax[i])!r},{float(ax[j])!r},{z!r},"
-                            f"{float(v[i, j, k].real)!r},"
-                            f"{float(v[i, j, k].imag)!r}")
+        v, z = v[:, :, k], f"{float(ax[k])!r},"
+    rows = ["x,y,z,re,im" if z else "x,y,re,im"]
+    for i in range(g.n_per_axis):
+        for j in range(g.n_per_axis):
+            rows.append(f"{float(ax[i])!r},{float(ax[j])!r},{z}"
+                        f"{float(v[i, j].real)!r},{float(v[i, j].imag)!r}")
     return rows
 
 
 # ---- subcommand handlers ----
+# Each handler reads its config through the reader, calls done() before any
+# work, and writes its artifacts; main writes manifest.json from the record.
 
-def _run_gen_measure(cfg: dict, args, out: Path) -> int:
-    mu, mcfg = _build_measure(cfg, args.seed)
-    fro = _section(cfg, "frostman", {"n_probes": 256})
-    n_probes = _pop(fro, "n_probes", 256, "frostman.")
-    _reject_unknown(fro, "frostman.")
-    _reject_unknown(cfg)
+def _run_gen_measure(r: _Reader, args, out: Path) -> int:
+    mu = _build_measure(r, args.seed)
+    n_probes = r.section("frostman", {"n_probes": 256}).get("n_probes", 256)
+    r.done()
     report = frostman_fit(mu, n_probes=n_probes, seed=args.seed)
     save_measure_json(mu, out / "measure.json")
     save_measure_binary(mu, out / "measure.bin")
     rows = ["radius,max_mass,min_mass"]
-    for r, hi, lo in zip(report.radii, report.max_masses, report.min_masses):
-        rows.append(f"{float(r)!r},{float(hi)!r},{float(lo)!r}")
+    for rad, hi, lo in zip(report.radii, report.max_masses, report.min_masses):
+        rows.append(f"{float(rad)!r},{float(hi)!r},{float(lo)!r}")
     _write_csv(out / "frostman.csv", rows)
     _write_json(out / "frostman.json", {
         "fitted_s": report.fitted_s,
@@ -326,110 +347,82 @@ def _run_gen_measure(cfg: dict, args, out: Path) -> int:
         "n_atoms": mu.n_atoms,
         "total_mass": mu.total_mass,
     })
-    _write_manifest(out, "gen-measure",
-                    {"measure": mcfg, "frostman": {"n_probes": n_probes}},
-                    args.seed)
     print(f"gen-measure: {mu.n_atoms} atoms fitted_s={report.fitted_s:.4f}"
           f" -> {out}")
     return 0
 
 
-def _run_fourier(cfg: dict, args, out: Path) -> int:
-    mu, mcfg = _build_measure(cfg, args.seed)
-    grid, gcfg = _build_grid(cfg, {"dim": 2, "n_per_axis": 256,
-                                   "box_half_width": 2.0})
-    f, dcfg = _build_density(cfg)
-    _reject_unknown(cfg)
+def _run_fourier(r: _Reader, args, out: Path) -> int:
+    mu = _build_measure(r, args.seed)
+    grid = _build_grid(r, _GRID_2D)
+    f = _build_density(r)
+    r.done()
     field = measure_fourier(f, mu, grid)
     fit = decay_fit(field)
     save_field_binary(field, out / "field.bin")
     _write_csv(out / "fit.csv", _fit_rows(fit))
-    _write_manifest(out, "fourier",
-                    {"measure": mcfg, "grid": gcfg, "density": dcfg},
-                    args.seed)
     print(f"fourier: decay exponent {-fit.slope:.4f} -> {out}")
     return 0
 
 
-def _run_strichartz(cfg: dict, args, out: Path) -> int:
-    mu, mcfg = _build_measure(cfg, args.seed)
-    grid, gcfg = _build_grid(cfg, {"dim": 2, "n_per_axis": 256,
-                                   "box_half_width": 2.0})
-    f, dcfg = _build_density(cfg)
-    default_radii = [float(2.0 ** k) for k in
-                     range(int(np.log2(grid.freq_max)))]
-    radii = _pop_list(cfg, "radii", default_radii)
-    s = _pop(cfg, "s", mu.nominal_s)
-    _reject_unknown(cfg)
-    if s is None:
-        raise ConfigError("s", "required when the measure has no"
-                          " nominal exponent")
-    if not _is_number(s):
-        raise ConfigError("s", f"must be a number, got {s!r}")
+def _run_strichartz(r: _Reader, args, out: Path) -> int:
+    mu = _build_measure(r, args.seed)
+    grid = _build_grid(r, _GRID_2D)
+    f = _build_density(r)
+    radii = r.get("radii", [float(2.0 ** k) for k in
+                            range(int(np.log2(grid.freq_max)))])
+    # required when the measure has no nominal exponent
+    s = r.get("s", float if mu.nominal_s is None else float(mu.nominal_s))
+    r.done()
     energies = strichartz_profile(f, mu, grid, radii, s)
     rows = ["r,energy"]
-    for r, e in zip(radii, energies):
-        rows.append(f"{float(r)!r},{float(e)!r}")
+    for rad, e in zip(radii, energies):
+        rows.append(f"{rad!r},{float(e)!r}")
     _write_csv(out / "strichartz.csv", rows)
-    _write_manifest(out, "strichartz",
-                    {"measure": mcfg, "grid": gcfg, "density": dcfg,
-                     "radii": [float(r) for r in radii], "s": float(s)},
-                    args.seed)
     print(f"strichartz: {len(radii)} radii max energy"
           f" {float(np.max(energies)):.6g} -> {out}")
     return 0
 
 
-def _run_avg(cfg: dict, args, out: Path) -> int:
-    mu, mcfg = _build_measure(cfg, args.seed)
-    grid, gcfg = _build_grid(cfg, {"dim": 2, "n_per_axis": 256,
-                                   "box_half_width": 2.0})
-    f, dcfg = _build_density(cfg)
-    t = _pop_number(cfg, "t", 0.5)
-    _reject_unknown(cfg)
+def _run_avg(r: _Reader, args, out: Path) -> int:
+    mu = _build_measure(r, args.seed)
+    grid = _build_grid(r, _GRID_2D)
+    f = _build_density(r)
+    t = r.get("t", 0.5)
+    r.done()
     field = spherical_average(f, mu, t, grid)
     save_field_binary(field, out / "field.bin")
     _write_csv(out / "slice.csv", _field_slice_rows(field))
-    _write_manifest(out, "avg",
-                    {"measure": mcfg, "grid": gcfg, "density": dcfg,
-                     "t": float(t)},
-                    args.seed)
     print(f"avg: radius {t} sup {float(np.abs(field.values).max()):.6g}"
           f" -> {out}")
     return 0
 
 
-def _run_maximal(cfg: dict, args, out: Path) -> int:
-    mu, mcfg = _build_measure(cfg, args.seed)
+def _run_maximal(r: _Reader, args, out: Path) -> int:
+    mu = _build_measure(r, args.seed)
     # radii reach 2, so the box must extend to twice that
-    grid, gcfg = _build_grid(cfg, {"dim": 2, "n_per_axis": 256,
-                                   "box_half_width": 4.0})
-    f, dcfg = _build_density(cfg)
-    t_grid_n = _pop_int(cfg, "t_grid_n", 16)
-    _reject_unknown(cfg)
+    grid = _build_grid(r, {"dim": 2, "n_per_axis": 256, "box_half_width": 4.0})
+    f = _build_density(r)
+    t_grid_n = r.get("t_grid_n", 16)
+    r.done()
     field = maximal_function(f, mu, default_t_grid(t_grid_n), grid)
     save_field_binary(field, out / "field.bin")
     _write_csv(out / "slice.csv", _field_slice_rows(field))
-    _write_manifest(out, "maximal",
-                    {"measure": mcfg, "grid": gcfg, "density": dcfg,
-                     "t_grid_n": int(t_grid_n)},
-                    args.seed)
     print(f"maximal: {t_grid_n + 1} radii sup"
           f" {float(np.abs(field.values).max()):.6g} -> {out}")
     return 0
 
 
-def _run_opnorm(cfg: dict, args, out: Path) -> int:
-    mu, mcfg = _build_measure(cfg, args.seed)
-    nu, ncfg = _build_measure(cfg, args.seed, key="nu",
-                              default={"kind": "lebesgue-box", "d": 2,
-                                       "half_width": 1.0, "n_cells": 32})
-    grid, gcfg = _build_grid(cfg, {"dim": 2, "n_per_axis": 256,
-                                   "box_half_width": 2.0})
-    t = _pop_number(cfg, "t", 0.5)
-    p = _pop_number(cfg, "p", 2.0)
-    family = _pop(cfg, "family", "bumps")
-    _reject_unknown(cfg)
+def _run_opnorm(r: _Reader, args, out: Path) -> int:
+    mu = _build_measure(r, args.seed)
+    nu = _build_measure(r, args.seed, key="nu",
+                        default={"kind": "lebesgue-box", "d": 2,
+                                 "half_width": 1.0, "n_cells": 32})
+    grid = _build_grid(r, _GRID_2D)
+    t = r.get("t", 0.5)
+    p = r.get("p", 2.0)
+    family = r.get("family", "bumps")
+    r.done()
     handle = grid_operator_handle(
         lambda vals: spherical_average(vals, mu, t, grid), nu)
     estimate = opnorm_lower(handle, mu, nu, p, family, args.seed)
@@ -439,27 +432,21 @@ def _run_opnorm(cfg: dict, args, out: Path) -> int:
         "family": estimate.family,
         "iterations": estimate.iterations,
         "seed": estimate.seed,
-        "t": float(t),
+        "t": t,
     })
     _write_csv(out / "witnesses.csv",
                [",".join(str(c) for c in row)
                 for row in witness_csv_rows(estimate)])
-    _write_manifest(out, "opnorm",
-                    {"measure": mcfg, "nu": ncfg, "grid": gcfg,
-                     "t": float(t), "p": float(p), "family": family},
-                    args.seed)
     print(f"opnorm: lower bound {estimate.value:.6g} at p={p} -> {out}")
     return 0
 
 
-def _run_growth(cfg: dict, args, out: Path) -> int:
-    mu, mcfg = _build_measure(cfg, args.seed)
-    grid, gcfg = _build_grid(cfg, {"dim": 2, "n_per_axis": 512,
-                                   "box_half_width": 2.0})
-    f, dcfg = _build_density(cfg)
-    j_values = _pop_list(cfg, "j_values", [2, 3, 4, 5, 6], of_ints=True)
-    _reject_unknown(cfg)
-    js = np.asarray(j_values, dtype=int)
+def _run_growth(r: _Reader, args, out: Path) -> int:
+    mu = _build_measure(r, args.seed)
+    grid = _build_grid(r, {"dim": 2, "n_per_axis": 512, "box_half_width": 2.0})
+    f = _build_density(r)
+    js = np.asarray(r.get("j_values", [2, 3, 4, 5, 6]), dtype=int)
+    r.done()
     norms = sphere_l2_profile(f, mu, grid, js)
     fit = growth_rate(js, norms)
     rows = ["j,norm"]
@@ -467,25 +454,23 @@ def _run_growth(cfg: dict, args, out: Path) -> int:
         rows.append(f"{int(j)},{float(nrm)!r}")
     _write_csv(out / "growth.csv", rows)
     _write_csv(out / "fit.csv", _fit_rows(fit))
-    _write_manifest(out, "growth",
-                    {"measure": mcfg, "grid": gcfg, "density": dcfg,
-                     "j_values": [int(j) for j in js]},
-                    args.seed)
     print(f"growth: log2 slope {fit.slope:.4f} over j={js.min()}..{js.max()}"
           f" -> {out}")
     return 0
 
 
-def _run_exponents(cfg: dict, args, out: Path) -> int:
-    d = _pop(cfg, "d", 3)
-    s_mu = _pop(cfg, "s_mu", 3.0)
-    s_nu = _pop(cfg, "s_nu", 3.0)
-    region = _pop(cfg, "region", None)
-    _reject_unknown(cfg)
+def _run_exponents(r: _Reader, args, out: Path) -> int:
+    d, s_mu, s_nu = r.get("d", 3), r.get("s_mu", 3.0), r.get("s_nu", 3.0)
+    region = r.section("region", None)
+    n = None if region is None else region.get("n", 32)
+    r.done()
+    if n is not None and not 2 <= n <= 512:
+        raise ConfigError("region.n", f"must be an int in [2, 512], got {n}")
     try:
         iv = maximal_interval(d, s_mu, s_nu)
-    except (ParameterError, DomainError) as e:
-        raise ConfigError("s_mu", str(e))
+    except ParameterError as e:
+        # the library's message opens with the name of the parameter it rejects
+        raise ConfigError(str(e).split()[0], str(e))
     # an unbounded endpoint becomes null: strict JSON has no Infinity literal
     _write_json(out / "exponents.json", {
         "d": d, "s_mu": s_mu, "s_nu": s_nu,
@@ -494,15 +479,7 @@ def _run_exponents(cfg: dict, args, out: Path) -> int:
         "lo_open": iv.lo_open, "hi_open": iv.hi_open,
         "case": iv.case_label,
     })
-    materialized = {"d": d, "s_mu": s_mu, "s_nu": s_nu}
-    if region is not None:
-        if not isinstance(region, dict):
-            raise ConfigError("region", "must be a JSON object")
-        region = dict(region)
-        n = _pop(region, "n", 32, "region.")
-        _reject_unknown(region, "region.")
-        if not (isinstance(n, int) and 2 <= n <= 512):
-            raise ConfigError("region.n", f"must be an int in [2, 512], got {n}")
+    if n is not None:
         rows = ["s_mu,s_nu,case,lo,hi"]
         for a in np.linspace(0.0, d, n):
             for b in np.linspace(0.0, d, n):
@@ -510,127 +487,86 @@ def _run_exponents(cfg: dict, args, out: Path) -> int:
                 rows.append(f"{float(a)!r},{float(b)!r},{cell.case_label},"
                             f"{cell.lo!r},{cell.hi!r}")
         _write_csv(out / "region.csv", rows)
-        materialized["region"] = {"n": n}
-    _write_manifest(out, "exponents", materialized, args.seed)
     print(f"exponents: case {iv.case_label} lo={iv.lo!r} hi={iv.hi!r}"
           f" -> {out}")
     return 0
 
 
-_COUNTEREXAMPLE_DEFAULTS = {
-    "stein": {"d": 2, "s": 1.5, "p": 3.0, "shells": 40},
-    "mattila": {"d": 2, "alpha": 1.0, "beta": 0.5, "p": 4.0,
-                "eps": [2.0 ** -k for k in range(12, 18)]},
-    "riesz": {"d": 2, "s": 1.0, "alpha": 0.8, "levels": 12},
-    "fixed-time": {"d": 3, "p": 1.5, "shells": 40},
+# kind -> (parameter defaults, run of those parameters); the runs name the
+# library functions at call time, so wrapping them (tracing) still works
+_COUNTEREXAMPLES = {
+    "stein": ({"d": 2, "s": 1.5, "p": 3.0, "shells": 40},
+              lambda p: stein_example(**p)),
+    "mattila": ({"d": 2, "alpha": 1.0, "beta": 0.5, "p": 4.0,
+                 "eps": [2.0 ** -k for k in range(12, 18)]},
+                lambda p: mattila_example(p["d"], p["alpha"], p["beta"],
+                                          p["p"], p["eps"])),
+    "riesz": ({"d": 2, "s": 1.0, "alpha": 0.8, "levels": 12},
+              lambda p: riesz_divergence(**p)),
+    "fixed-time": ({"d": 3, "p": 1.5, "shells": 40},
+                   lambda p: fixed_time_sharpness(**p)),
 }
 
 
-def _run_counterexample(cfg: dict, args, out: Path) -> int:
-    kind = _pop(cfg, "kind", "stein")
-    if kind not in _COUNTEREXAMPLE_DEFAULTS:
-        raise ConfigError("kind", f"unknown counterexample kind {kind!r}")
-    params = dict(_COUNTEREXAMPLE_DEFAULTS[kind])
-    for key in list(params):
-        params[key] = _pop(cfg, key, params[key])
-    _reject_unknown(cfg)
-    if kind == "stein":
-        rep = stein_example(params["d"], params["s"], params["p"],
-                            shells=params["shells"])
-    elif kind == "mattila":
-        rep = mattila_example(params["d"], params["alpha"], params["beta"],
-                              params["p"], params["eps"])
-    elif kind == "riesz":
-        rep = riesz_divergence(params["d"], params["s"], params["alpha"],
-                               levels=params["levels"])
-    else:
-        rep = fixed_time_sharpness(params["d"], params["p"],
-                                   shells=params["shells"])
+def _run_counterexample(r: _Reader, args, out: Path) -> int:
+    kind = r.choice("kind", _COUNTEREXAMPLES, "stein")
+    fields, run = _COUNTEREXAMPLES[kind]
+    params = r.fields(fields)
+    r.done()
+    rep = run(params)
     _write_csv(out / "series.csv", rep.csv_rows())
     _write_json(out / "verdict.json", rep.verdict_json())
-    _write_manifest(out, "counterexample", {"kind": kind, **params}, args.seed)
     print(f"counterexample: {kind} -> {out}")
     return 0
 
 
-def _run_wave(cfg: dict, args, out: Path) -> int:
-    mode = _pop(cfg, "mode", "solution")
-    if mode == "solution":
-        mu, mcfg = _build_measure(cfg, args.seed,
-                                  default={"kind": "lebesgue-box", "d": 3,
-                                           "half_width": 1.5, "n_cells": 24})
-        grid, gcfg = _build_grid(cfg, {"dim": 3, "n_per_axis": 64,
-                                       "box_half_width": 2.0})
-        f, dcfg = _build_density(cfg)
-        if f is None:
-            f, dcfg = _build_density({"density": {"kind": "gaussian"}})
-        t = _pop_number(cfg, "t", 0.4)
-        z = _pop_number(cfg, "slice_z", 0.0)
-        _reject_unknown(cfg)
-        u = wave_solution(f, mu, t, grid)
-        u.save_binary(out / "field.bin")
-        _write_csv(out / "slice.csv", u.slice_csv_rows(z))
-        _write_manifest(out, "wave",
-                        {"mode": mode, "measure": mcfg, "grid": gcfg,
-                         "density": dcfg, "t": float(t),
-                         "slice_z": float(z)},
-                        args.seed)
-        print(f"wave: solution at t={t} sup"
-              f" {float(np.abs(u.values).max()):.6g} -> {out}")
-        return 0
-    if mode == "pointwise":
-        mu, mcfg = _build_measure(cfg, args.seed,
-                                  default={"kind": "lebesgue-box", "d": 3,
-                                           "half_width": 1.5, "n_cells": 48})
-        grid, gcfg = _build_grid(cfg, {"dim": 3, "n_per_axis": 128,
-                                       "box_half_width": 2.0})
-        f, dcfg = _build_density(cfg)
-        if f is None:
-            f, dcfg = _build_density({"density": {"kind": "gaussian"}})
-        times = _pop_list(cfg, "times", [0.2, 0.1, 0.05])
-        _reject_unknown(cfg)
-        rep = pointwise_limit_fit(f, mu, grid, times=tuple(times))
-        _write_csv(out / "pointwise.csv", rep.csv_rows())
-        _write_json(out / "verdict.json", rep.verdict_json())
-        _write_manifest(out, "wave",
-                        {"mode": mode, "measure": mcfg, "grid": gcfg,
-                         "density": dcfg,
-                         "times": [float(t) for t in times]},
-                        args.seed)
-        print(f"wave: pointwise order {rep.order:.4f} -> {out}")
-        return 0
+def _run_wave(r: _Reader, args, out: Path) -> int:
+    mode = r.choice("mode", ("solution", "pointwise", "blowup"), "solution")
     if mode == "blowup":
-        refinements = _pop_list(cfg, "refinements", [64, 128, 256],
-                                of_ints=True)
-        t = _pop_number(cfg, "t", 1.0)
-        fraction = _pop_number(cfg, "threshold_fraction", 0.95)
-        _reject_unknown(cfg)
+        refinements = r.get("refinements", [64, 128, 256])
+        t = r.get("t", 1.0)
+        fraction = r.get("threshold_fraction", 0.95)
+        r.done()
         f_fam, mu_fam, p = sharpness_family()
-        rep = blowup_probe(f_fam, mu_fam, t,
-                           refinements=tuple(refinements), family_p=p,
-                           threshold_fraction=fraction)
+        rep = blowup_probe(f_fam, mu_fam, t, refinements=tuple(refinements),
+                           family_p=p, threshold_fraction=fraction)
         _write_csv(out / "blowup.csv", rep.csv_rows())
         _write_json(out / "verdict.json", rep.verdict_json())
-        _write_manifest(out, "wave",
-                        {"mode": mode,
-                         "refinements": [int(n) for n in refinements],
-                         "t": float(t),
-                         "threshold_fraction": float(fraction)},
-                        args.seed)
         print(f"wave: blowup boxdim {rep.boxdim_estimate:.4f}"
               f" (bound {rep.compare!r}) -> {out}")
         return 0
-    raise ConfigError("mode", f"unknown wave mode {mode!r}")
+    # the two field modes differ in their default resolutions only
+    n, cells = (64, 24) if mode == "solution" else (128, 48)
+    mu = _build_measure(r, args.seed, default={
+        "kind": "lebesgue-box", "d": 3, "half_width": 1.5, "n_cells": cells})
+    grid = _build_grid(r, {"dim": 3, "n_per_axis": n, "box_half_width": 2.0})
+    f = _build_density(r, wave=True)
+    if mode == "solution":
+        t = r.get("t", 0.4)
+        z = r.get("slice_z", 0.0)
+        r.done()
+        u = wave_solution(f, mu, t, grid)
+        u.save_binary(out / "field.bin")
+        _write_csv(out / "slice.csv", u.slice_csv_rows(z))
+        print(f"wave: solution at t={t} sup"
+              f" {float(np.abs(u.values).max()):.6g} -> {out}")
+        return 0
+    times = r.get("times", [0.2, 0.1, 0.05])
+    r.done()
+    rep = pointwise_limit_fit(f, mu, grid, times=tuple(times))
+    _write_csv(out / "pointwise.csv", rep.csv_rows())
+    _write_json(out / "verdict.json", rep.verdict_json())
+    print(f"wave: pointwise order {rep.order:.4f} -> {out}")
+    return 0
 
 
-def _run_suite(cfg: dict, args, out: Path) -> int:
-    _reject_unknown(cfg)
+def _run_suite(r: _Reader, args, out: Path) -> int:
+    r.done()
+    r.record["quick"] = args.quick
     report = run_suite(quick=args.quick, seed=args.seed)
     for line in report.lines():
         print(line)
     _write_csv(out / "suite.csv", report.csv_rows())
-    _write_manifest(out, "suite",
-                    {"quick": report.quick}, args.seed)
     return 0 if report.all_passed else 1
 
 
@@ -688,10 +624,12 @@ def main(argv=None) -> int:
             if args.threads < 1:
                 raise ConfigError("threads", "must be a positive integer")
             set_fft_workers(args.threads)
-        cfg = _load_config(args.config, args.command)
+        r = _Reader(_load_config(args.config, args.command))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](cfg, args, out)
+        rc = _HANDLERS[args.command](r, args, out)
+        _write_manifest(out, args.command, r.record, args.seed)
+        return rc
     except ConfigError as e:
         print(f"frostlab: config error: {e}", file=sys.stderr)
         return 3

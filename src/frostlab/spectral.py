@@ -512,11 +512,11 @@ def annulus_energy_profile(f, nu: DiscreteMeasure, grid: SpectralGrid,
 def annulus_growth_fit(f, nu: DiscreteMeasure, grid: SpectralGrid,
                        j_values) -> FitReport:
     """log2 growth exponent of the annulus energies across j."""
-    j_arr = np.asarray(list(j_values), dtype=float)
+    j_values = list(j_values)  # read once: a generator would be empty below
     energies = annulus_energy_profile(f, nu, grid, j_values)
     if np.any(energies <= 0):
         raise FitError("nonpositive annulus energy; cannot fit a growth exponent")
-    return line_fit(j_arr, np.log2(energies))
+    return line_fit(np.asarray(j_values, dtype=float), np.log2(energies))
 
 
 def _check_annulus(grid: SpectralGrid, j: int) -> None:

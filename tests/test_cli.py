@@ -66,10 +66,31 @@ def test_unknown_field_reports_dotted_path(tmp_path, capsys):
     ("avg", {"grid": {"n_per_axis": 256.0}}, "grid.n_per_axis"),
     ("growth", {"j_values": "abc"}, "j_values"),
     ("strichartz", {"radii": []}, "radii"),
+    ("gen-measure", {"measure": {"kind": "cantor", "depth": "x"}},
+     "measure.depth"),
+    ("gen-measure", {"frostman": {"n_probes": "x"}}, "frostman.n_probes"),
+    ("counterexample", {"kind": "stein", "shells": "x"}, "shells"),
+    ("counterexample", {"kind": "mattila", "eps": "abc"}, "eps"),
+    ("exponents", {"d": "x"}, "d"),
+    ("exponents", {"s_mu": "x"}, "s_mu"),
+    ("avg", {"measure": {"kind": "sphere", "t": True}}, "measure.t"),
+    ("avg", {"t": 10 ** 400}, "t"),
 ])
 def test_ill_typed_config_value_exits_3(tmp_path, capsys, command, doc, path):
     cfg = _cfg(tmp_path, "c.json", {"experiment": command, **doc})
     rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert f"frostlab: config error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"d": 1}, "d"),
+    ({"d": 3, "s_nu": 5.0}, "s_nu"),
+    ({"d": 2, "s_mu": -0.5}, "s_mu"),
+])
+def test_exponents_error_names_its_field(tmp_path, capsys, doc, path):
+    cfg = _cfg(tmp_path, "c.json", {"experiment": "exponents", **doc})
+    rc = main(["exponents", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 3
     assert f"frostlab: config error: {path}: " in capsys.readouterr().err
 
@@ -210,6 +231,105 @@ def test_growth_fit_artifacts(tmp_path):
     assert len(lines) == 1 + 3 + 1
     fit = (tmp_path / "fit.csv").read_bytes().decode().split("\r\n")
     assert fit[0] == "slope,intercept,residual,x_lo,x_hi,n_points"
+
+
+# ---- the config record ----
+
+_GRID64 = {"dim": 2, "n_per_axis": 64, "box_half_width": 2.0}
+_SQUARE = {"kind": "product-cantor", "ratio": 0.25, "depth": 3, "copies": 2}
+_GAUSS = {"kind": "gaussian", "width": 0.5}
+_BOX3 = {"kind": "lebesgue-box", "d": 3, "half_width": 1.0, "n_cells": 6}
+_GRID32_3D = {"dim": 3, "n_per_axis": 32, "box_half_width": 2.0}
+
+# one small valid run of every subcommand but suite, with non-random measures
+SMALL_RUNS = [
+    ("gen-measure", {"measure": {"kind": "cantor", "ratio": 0.3, "depth": 4},
+                     "frostman": {"n_probes": 16}}),
+    ("fourier", {"measure": _SQUARE, "grid": _GRID64, "density": _GAUSS}),
+    ("strichartz", {"measure": {"kind": "sphere", "d": 2, "t": 1.0,
+                                "n_points": 64},
+                    "grid": _GRID64, "radii": [1.0, 2.0], "s": 1.0}),
+    ("avg", {"measure": {"kind": "radial-power", "d": 2, "s": 1.0,
+                         "grid_n": 16, "log_u": 2.0},
+             "grid": _GRID64, "density": _GAUSS, "t": 0.25}),
+    ("maximal", {"measure": _SQUARE, "t_grid_n": 3,
+                 "grid": {"dim": 2, "n_per_axis": 64, "box_half_width": 4.0}}),
+    ("opnorm", {"measure": _SQUARE, "grid": _GRID64, "t": 0.5, "p": 3.0,
+                "nu": {"kind": "lebesgue-box", "d": 2, "half_width": 1.0,
+                       "n_cells": 8}, "family": "bumps"}),
+    ("growth", {"measure": _SQUARE, "j_values": [2, 3, 4],
+                "grid": {"dim": 2, "n_per_axis": 256, "box_half_width": 2.0}}),
+    ("exponents", {"d": 3, "s_mu": 2.5, "s_nu": 3.0, "region": {"n": 4}}),
+    ("counterexample", {"kind": "mattila", "d": 2, "alpha": 1.0, "beta": 0.5,
+                        "p": 4.0, "eps": [2.0 ** -k for k in range(6, 10)]}),
+    ("counterexample", {"kind": "stein", "shells": 12}),
+    ("wave", {"mode": "solution", "measure": _BOX3, "grid": _GRID32_3D,
+              "t": 0.3, "slice_z": 0.0}),
+    ("wave", {"mode": "pointwise", "measure": _BOX3, "grid": _GRID32_3D,
+              "density": _GAUSS, "times": [0.3, 0.2, 0.1]}),
+    ("wave", {"mode": "blowup", "refinements": [32, 64], "t": 1.0}),
+]
+RUN_IDS = [f"{cmd}-{doc.get('kind') or doc.get('mode') or ''}"
+           for cmd, doc in SMALL_RUNS]
+
+
+def _run(tmp_path, name, command, doc):
+    out = tmp_path / name
+    cfg = _cfg(tmp_path, name + ".json", {"experiment": command, **doc})
+    assert main([command, "--config", cfg, "--seed", "3",
+                 "--out", str(out)]) == 0
+    return out / "manifest.json"
+
+
+@pytest.mark.parametrize("command, doc", SMALL_RUNS, ids=RUN_IDS)
+def test_manifest_config_round_trips(tmp_path, command, doc):
+    first = _run(tmp_path, "a", command, doc)
+    again = json.loads(first.read_text())["config"]
+    assert _run(tmp_path, "b", command, again).read_bytes() == \
+        first.read_bytes()
+
+
+def _leaves(record, prefix=""):
+    """(dotted path, value) of every field and section in a config record."""
+    for key, value in record.items():
+        yield prefix + key, value
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path.split(".")
+    inner = doc
+    for key in outer:
+        inner = inner[key]
+    inner[last] = value
+    return doc
+
+
+def _wrong_typed(value):
+    if isinstance(value, bool) or value is None:
+        return "x"
+    if isinstance(value, int):
+        return 1.5
+    if isinstance(value, float):
+        return "x"
+    if isinstance(value, str):
+        return 7
+    return "x"  # lists and sections
+
+
+@pytest.mark.parametrize("command, doc", SMALL_RUNS, ids=RUN_IDS)
+def test_every_recorded_field_is_type_checked(tmp_path, capsys, command, doc):
+    record = json.loads(_run(tmp_path, "a", command, doc).read_text())["config"]
+    capsys.readouterr()
+    for path, value in _leaves(record):
+        bad = _replaced(record, path, _wrong_typed(value))
+        cfg = _cfg(tmp_path, "bad.json", {"experiment": command, **bad})
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "b")])
+        err = capsys.readouterr().err
+        assert rc == 3, (path, err)
+        assert f"frostlab: config error: {path}: " in err, (path, err)
 
 
 # ---- determinism ----

@@ -354,6 +354,14 @@ def test_annulus_energy_zero_f_and_lebesgue_decay():
     assert fit.slope <= 0.1
 
 
+def test_annulus_growth_fit_accepts_a_generator():
+    grid = SpectralGrid(2, 256, 1.0)
+    from_list = annulus_growth_fit(None, CANTOR4SQ, grid, [2, 3, 4, 5])
+    from_gen = annulus_growth_fit(None, CANTOR4SQ, grid,
+                                  (j for j in range(2, 6)))
+    assert from_gen == from_list
+
+
 # ---- serialization ----
 
 def test_field_binary_round_trip(tmp_path):
