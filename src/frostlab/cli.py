@@ -15,6 +15,7 @@ config or parameters (message carries the field path), 4 resource limit.
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -83,15 +84,18 @@ __all__ = ["main"]
 
 # ---- config reader ----
 
-_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+_TYPE_NAMES = {int: ("an integer", "integers"),
+               float: ("a finite number", "finite numbers"),
                str: ("a string", "strings")}
 
 
 def _fits(value, kind: type) -> bool:
     if isinstance(value, bool):
         return False
-    if kind is float:  # an integer beyond the float range is no number here
-        return isinstance(value, float) or (
+    if kind is float:
+        # RFC 8259 has no NaN or Infinity (Python's parser takes them), and an
+        # integer beyond the float range is no number here either
+        return (isinstance(value, float) and math.isfinite(value)) or (
             isinstance(value, int) and abs(value) <= sys.float_info.max)
     return isinstance(value, kind)
 
@@ -282,8 +286,15 @@ def _write_csv(path: Path, rows):
 
 
 def _write_json(path: Path, doc):
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    # RFC 8259 JSON has no NaN or Infinity, so a non-finite result fails the
+    # run instead of leaving a file other JSON readers reject
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ParameterError(
+            f"{path.name}: a result is NaN or infinite at these parameters"
+        ) from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_manifest(out: Path, experiment: str, materialized: dict, seed: int):

@@ -558,7 +558,7 @@ def save_measure_json(mu: DiscreteMeasure, path) -> None:
         "weights": mu.weights.tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        json.dump(doc, fh, sort_keys=True, allow_nan=False)
 
 
 def load_measure_json(path) -> DiscreteMeasure:

@@ -10,13 +10,17 @@ Two evaluation paths feed the same contract:
 
 * exact binning when every atom sits on the spatial lattice (grid-backed
   measures are built that way on purpose), and
-* Gaussian-gridding spreading with 2x oversampling otherwise, accurate to
-  ~1e-9 relative against the direct sum, which stays available as the oracle
-  (`direct_fourier`).
+* spreading otherwise: each atom is scattered onto a 2x oversampled grid with
+  the "exponential of semicircle" kernel exp(beta (sqrt(1 - z^2) - 1)) over
+  14 fine cells per axis, the grid is transformed, and the kernel's own
+  transform (Gauss-Legendre quadrature) is divided out.  The result agrees
+  with the direct sum, which stays available as the oracle
+  (`direct_fourier`), to within 1e-11 of the largest transform modulus.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -38,7 +42,14 @@ _FIELD_MAGIC = b"FFLD0001"
 _MAX_FIELD_VALUES = 2**24
 _MAX_SPREAD_VALUES = 2**25
 
-_SPREAD_HALF_WIDTH = 10  # Gaussian spreading reaches this many fine cells each side
+# the ES spreader reaches _ES_NS fine cells per axis at 2x oversampling with
+# beta = 2.30 ns (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41,
+# 2019); ns = 14 keeps one atom in d = 3 within 1e-11, where ns = 13 reaches
+# 1.35e-11.  A chunk of atoms scatters about _SPREAD_CHUNK_POINTS kernel
+# values, a working set that stays in cache.
+_ES_NS = 14
+_ES_BETA = 2.30 * _ES_NS
+_SPREAD_CHUNK_POINTS = 2**17
 
 _fft_workers = 1
 
@@ -189,49 +200,56 @@ def _lattice_indices(mu: DiscreteMeasure, grid: SpectralGrid):
     return idx.astype(np.int64)
 
 
-def _spread_gaussian(c: np.ndarray, u: np.ndarray, n_fine: int, tau: float,
-                     dim: int) -> np.ndarray:
-    """Scatter complex strengths c at torus positions u onto the fine grid."""
-    w = _SPREAD_HALF_WIDTH
-    offsets = np.arange(-w, w + 1)
-    h = 1.0 / n_fine
-    total = np.zeros(n_fine**dim)
-    real_only = np.isrealobj(c)
-    if not real_only:
-        total = total.astype(np.complex128)
-        total_im = np.zeros(n_fine**dim)
+def _es_kernel(z: np.ndarray) -> np.ndarray:
+    """The ES kernel exp(beta (sqrt(1 - z^2) - 1)) on |z| <= 1."""
+    return np.exp(_ES_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
 
-    chunk = 2048 if dim <= 2 else 512
+
+# Gauss-Legendre nodes on (0, 1) for the kernel's cosine transform
+# phi_hat(s) = sum_q _ES_QUAD_W[q] cos(s _ES_QUAD_Z[q]), kernel values folded
+# into the weights; 2 + 3 ns / 2 nodes reach roundoff for every s <= pi ns / 4
+_gl_z, _gl_w = np.polynomial.legendre.leggauss(2 * (2 + 3 * _ES_NS // 2))
+_ES_QUAD_Z = _gl_z[_gl_z > 0]
+_ES_QUAD_W = 2.0 * _gl_w[_gl_z > 0] * _es_kernel(_ES_QUAD_Z)
+del _gl_z, _gl_w
+
+
+def _spread_es(c: np.ndarray, u: np.ndarray, n_fine: int, dim: int) -> np.ndarray:
+    """Scatter strengths c at torus positions u in [0, 1)^dim onto the
+    n_fine^dim grid, each atom reaching the _ES_NS nodes per axis within
+    _ES_NS / 2 fine cells of it."""
+    ns = _ES_NS
+    steps = np.arange(ns)
+    total = np.zeros(n_fine**dim, dtype=np.result_type(c, np.float64))
+    chunk = max(1, _SPREAD_CHUNK_POINTS // ns**dim)
     for i0 in range(0, u.shape[0], chunk):
-        ub = u[i0:i0 + chunk]
-        cb = c[i0:i0 + chunk]
-        nearest = np.round(ub * n_fine).astype(np.int64)
-        # per-axis weights (B, 2w+1) and wrapped indices
-        wts, idxs = [], []
+        s = u[i0:i0 + chunk] * n_fine
+        first = np.ceil(s - ns / 2)
+        b = s.shape[0]
+        wt = c[i0:i0 + chunk, None]
+        flat = np.zeros((b, 1), dtype=np.int64)
         for a in range(dim):
-            du = ub[:, a][:, None] - (nearest[:, a][:, None] + offsets[None, :]) * h
-            wts.append(np.exp(-du**2 / (4.0 * tau)))
-            idxs.append((nearest[:, a][:, None] + offsets[None, :]) % n_fine)
-        if dim == 1:
-            wt = wts[0] * cb[:, None]
-            flat = idxs[0]
-        elif dim == 2:
-            wt = (wts[0][:, :, None] * wts[1][:, None, :]) * cb[:, None, None]
-            flat = idxs[0][:, :, None] * n_fine + idxs[1][:, None, :]
-        else:
-            wt = (wts[0][:, :, None, None] * wts[1][:, None, :, None]
-                  * wts[2][:, None, None, :]) * cb[:, None, None, None]
-            flat = (idxs[0][:, :, None, None] * n_fine
-                    + idxs[1][:, None, :, None]) * n_fine + idxs[2][:, None, None, :]
-        flat = flat.ravel()
-        if real_only:
-            total += np.bincount(flat, weights=wt.real.ravel(), minlength=n_fine**dim)
-        else:
-            total += np.bincount(flat, weights=wt.real.ravel(), minlength=n_fine**dim)
-            total_im += np.bincount(flat, weights=wt.imag.ravel(), minlength=n_fine**dim)
-    if not real_only:
-        total = total + 1j * total_im
+            # node offsets from the atom in kernel half-widths, |z| <= 1
+            z = (first[:, a, None] + steps - s[:, a, None]) / (ns / 2)
+            idx = (first[:, a].astype(np.int64)[:, None] + steps) % n_fine
+            wt = (wt[:, :, None] * _es_kernel(z)[:, None, :]).reshape(b, -1)
+            flat = (flat[:, :, None] * n_fine + idx[:, None, :]).reshape(b, -1)
+        np.add.at(total, flat.ravel(), wt.ravel())
     return total.reshape((n_fine,) * dim)
+
+
+def _es_deconvolution(n: int, n_fine: int) -> np.ndarray:
+    """(-1)^k / (n_fine psi_hat(k)) for the n central modes k in FFT order.
+
+    psi_hat is the continuous transform of the kernel at the fine pitch,
+    n_fine psi_hat(k) = (ns / 2) phi_hat(pi k ns / n_fine); the sign is the
+    checkerboard that shifts the torus origin to -L.
+    """
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    ft = 0.5 * _ES_NS * (
+        np.cos(np.outer(k * (math.pi * _ES_NS / n_fine), _ES_QUAD_Z)) @ _ES_QUAD_W)
+    sign = 1.0 - 2.0 * (k.astype(np.int64) % 2)
+    return sign / ft
 
 
 def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> ComplexField:
@@ -239,8 +257,11 @@ def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> ComplexField:
 
     f may be None (constant 1), a callable on the atom array, or a per-atom
     value array.  Atoms exactly on the spatial lattice are binned (no error
-    beyond roundoff); otherwise a Gaussian-gridding spreader with 2x
-    oversampling evaluates the same sum to ~1e-9 relative accuracy.
+    beyond roundoff); otherwise an exponential-of-semicircle spreader with
+    14 points per axis and 2x oversampling evaluates the same sum to within
+    1e-11 of the largest transform modulus.  Measured worst cases: 1.4e-12
+    for one atom in d = 3, where the errors of the three axes add up, and
+    7e-13 on 300-atom fixtures with signed or complex f.
     """
     _check_in_box(mu, grid)
     c = _atom_values(f, mu) * mu.weights
@@ -261,24 +282,20 @@ def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> ComplexField:
         raise ResourceError(
             "oversampled spreading grid too large; align atoms to the lattice "
             "or use a coarser grid")
-    # variance for unit-torus coordinates; R=2 oversampling, truncation at
-    # _SPREAD_HALF_WIDTH fine cells leaves ~1e-9 relative error
-    tau = _SPREAD_HALF_WIDTH / (12.0 * math.pi * n * n)
     u = (mu.atoms + grid.box_half_width) / (2.0 * grid.box_half_width)
-    spread = _spread_gaussian(c, u, n_fine, tau, grid.dim)
-    fine_spec = scipy.fft.fftn(spread, workers=_fft_workers)
-
-    # central n modes per axis, then deconvolve the Gaussian window
-    keep = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # -n/2..n/2-1, fft order
-    grids = np.meshgrid(*([keep] * grid.dim), indexing="ij")
-    central = fine_spec[tuple(g % n_fine for g in grids)]
-    ghat = math.sqrt(4.0 * math.pi * tau) * np.exp(-4.0 * np.pi**2 * tau * keep.astype(float)**2)
-    deconv = np.ones((n,) * grid.dim)
+    spec = scipy.fft.fftn(_spread_es(c, u, n_fine, grid.dim), workers=_fft_workers)
+    # the central n modes per axis are the first and last n/2 in FFT order:
+    # one block per choice of half on each axis
+    h = n // 2
+    halves = ((slice(0, h), slice(0, h)), (slice(h, n), slice(n_fine - h, None)))
+    central = np.empty((n,) * grid.dim, dtype=np.complex128)
+    for pick in itertools.product(halves, repeat=grid.dim):
+        dst, src = zip(*pick)
+        central[dst] = spec[src]
+    factor = _es_deconvolution(n, n_fine)
     for a in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[a] = n
-        deconv = deconv * (n_fine * ghat).reshape(shape)
-    return ComplexField(grid, grid.checkerboard() * central / deconv, "freq")
+        central *= factor.reshape((n,) + (1,) * (grid.dim - a - 1))
+    return ComplexField(grid, central, "freq")
 
 
 def to_space(field: ComplexField) -> ComplexField:

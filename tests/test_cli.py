@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, artifact shapes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -75,12 +76,26 @@ def test_unknown_field_reports_dotted_path(tmp_path, capsys):
     ("exponents", {"s_mu": "x"}, "s_mu"),
     ("avg", {"measure": {"kind": "sphere", "t": True}}, "measure.t"),
     ("avg", {"t": 10 ** 400}, "t"),
+    ("avg", {"t": math.nan}, "t"),
+    ("wave", {"t": -math.inf}, "t"),
+    ("counterexample", {"p": math.inf}, "p"),
 ])
 def test_ill_typed_config_value_exits_3(tmp_path, capsys, command, doc, path):
     cfg = _cfg(tmp_path, "c.json", {"experiment": command, **doc})
     rc = main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 3
     assert f"frostlab: config error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_result_exits_3_without_writing_it(tmp_path, capsys):
+    # a p this large overflows the shell series to NaN, which JSON cannot hold
+    cfg = _cfg(tmp_path, "c.json", {"experiment": "counterexample",
+                                    "kind": "stein", "p": 1e6})
+    rc = main(["counterexample", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "verdict.json: " in capsys.readouterr().err
+    assert not (tmp_path / "verdict.json").exists()
 
 
 @pytest.mark.parametrize("doc, path", [

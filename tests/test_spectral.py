@@ -5,6 +5,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import j0
 
 from frostlab import spectral
@@ -131,6 +134,96 @@ def test_oracle_sphere_2d_and_3d():
 def test_oracle_random_ball_3d():
     assert oracle_gap(None, random_ball_measure(3, 4000, seed=5),
                       SpectralGrid(3, 64, 2.0)) < 1e-6
+
+
+# ---- off-lattice spreader against the direct sum ----
+
+SPREAD_TOL = 1e-11  # the ES spreader's bound, relative to max |F|
+
+
+def spread_gap(f, mu, grid, seed=11, n_probe=60):
+    """Max |spread - direct| over random lattice frequencies plus every
+    combination of DC, top and Nyquist index per axis, relative to the
+    largest modulus of the transform."""
+    field = measure_fourier(f, mu, grid).values
+    n, d = grid.n_per_axis, grid.dim
+    rng = np.random.default_rng(seed)
+    corners = np.stack(np.meshgrid(*[[0, n // 2 - 1, -(n // 2)]] * d,
+                                   indexing="ij"), axis=-1).reshape(-1, d)
+    idx = np.vstack([rng.integers(-(n // 2), n // 2, size=(n_probe, d)),
+                     corners])
+    oracle = direct_fourier(f, mu, idx * grid.freq_step)
+    got = field[tuple((idx % n).T)]
+    return float(np.max(np.abs(got - oracle)) / np.max(np.abs(field)))
+
+
+@pytest.mark.parametrize("d, n", [(1, 512), (2, 64), (3, 32)])
+def test_spreader_matches_direct_sum_to_1e_11(d, n):
+    grid = SpectralGrid(d, n, 2.0)
+    rng = np.random.default_rng(d)
+    atoms = rng.uniform(-2.0, 2.0, size=(300, d))
+    atoms[0] = -2.0                          # the box corner, torus index 0
+    atoms[1] = 2.0 - 0.3 * grid.spacing / 2  # within one fine cell of L
+    mu = measure_from_atoms(atoms, rng.uniform(0.1, 1.0, 300))
+    assert spectral._lattice_indices(mu, grid) is None
+
+    def real_f(x):
+        return 1.0 + 0.5 * np.sin(3.0 * x[:, 0])
+
+    def complex_f(x):
+        return np.exp(2j * x[:, -1]) + 0.5j * x[:, 0]
+
+    for f in (None, real_f, complex_f):
+        assert spread_gap(f, mu, grid) <= SPREAD_TOL
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def offlattice_cases(draw):
+    """A small grid in d = 1, 2, 3 and up to 24 atoms anywhere in [-L, L)^d,
+    plus one atom off the lattice so the spreading path is taken."""
+    d = draw(st.integers(1, 3))
+    grid = SpectralGrid(d, draw(st.sampled_from([8, 16, 32])), 2.0)
+    k = draw(st.integers(1, 24))
+    coord = st.floats(-2.0, 2.0, exclude_max=True)
+    atoms = draw(hnp.arrays(np.float64, (k, d), elements=coord))
+    atoms = np.vstack([atoms, np.full((1, d), 0.3 * grid.spacing)])
+    weights = draw(hnp.arrays(np.float64, k + 1, elements=st.floats(0.01, 1.0)))
+    return grid, measure_from_atoms(atoms, weights)
+
+
+@PROPERTY
+@given(offlattice_cases())
+def test_spreader_matches_direct_sum_on_random_atoms(case):
+    grid, mu = case
+    n, d = grid.n_per_axis, grid.dim
+    field = measure_fourier(None, mu, grid).values
+    k = np.stack(np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n)] * d, indexing="ij"),
+                 axis=-1).reshape(-1, d)
+    oracle = direct_fourier(None, mu, k * grid.freq_step)
+    gap = np.max(np.abs(field.ravel() - oracle)) / np.max(np.abs(field))
+    assert gap <= SPREAD_TOL
+
+
+@PROPERTY
+@given(offlattice_cases(), st.data())
+def test_measure_fourier_is_linear_in_f(case, data):
+    grid, mu = case
+    values = hnp.arrays(np.float64, mu.n_atoms, elements=st.floats(-1.0, 1.0))
+    f, g_re, g_im = (data.draw(values) for _ in range(3))
+    g = g_re + 1j * g_im  # the complex path against two real ones
+    coef = st.floats(-10.0, 10.0)
+    a, b = data.draw(coef), complex(data.draw(coef), data.draw(coef))
+    got = measure_fourier(a * f + b * g, mu, grid).values
+    want = (a * measure_fourier(f, mu, grid).values
+            + b * measure_fourier(g, mu, grid).values)
+    # the l1 mass of each term bounds its transform, so it scales roundoff
+    scale = (abs(a) * np.sum(np.abs(f) * mu.weights)
+             + abs(b) * np.sum(np.abs(g) * mu.weights))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 def test_measure_outside_box_rejected():
