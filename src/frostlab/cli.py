@@ -630,26 +630,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = Path(args.out)
+    before = None  # the files in --out before this run, once it exists
     try:
         if args.threads is not None:
             if args.threads < 1:
                 raise ConfigError("threads", "must be a positive integer")
             set_fft_workers(args.threads)
         r = _Reader(_load_config(args.config, args.command))
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        before = set(out.iterdir())
         rc = _HANDLERS[args.command](r, args, out)
         _write_manifest(out, args.command, r.record, args.seed)
         return rc
     except ConfigError as e:
-        print(f"frostlab: config error: {e}", file=sys.stderr)
-        return 3
+        rc, message = 3, f"config error: {e}"
     except ResourceError as e:
-        print(f"frostlab: resource limit: {e}", file=sys.stderr)
-        return 4
+        rc, message = 4, f"resource limit: {e}"
     except (ParameterError, DomainError, FitError, EstimationError) as e:
-        print(f"frostlab: invalid parameters: {e}", file=sys.stderr)
-        return 3
+        rc, message = 3, f"invalid parameters: {e}"
+    if before is not None:
+        # a failed run leaves no artifacts without a manifest behind
+        for path in set(out.iterdir()) - before:
+            path.unlink()
+    print(f"frostlab: {message}", file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

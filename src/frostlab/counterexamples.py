@@ -137,8 +137,9 @@ def _radial_series(power: float, log_power: float, shells: int,
     mid = 0.5 * (hi + lo)[:, None]
     half = 0.5 * (hi - lo)[:, None]
     r = mid + half * nodes[None, :]
+    # in log space, so that overflow gives +inf (divergent), never inf / inf
     with np.errstate(over="ignore"):
-        vals = r ** power / np.log(1.0 / r) ** log_power
+        vals = np.exp(power * np.log(r) - log_power * np.log(np.log(1.0 / r)))
         inc = scale * (vals * gw[None, :]).sum(axis=1) * half[:, 0]
     return _series(j, inc)
 

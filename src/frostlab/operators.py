@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import i0e, j0
 
-from .errors import ConfigError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .measures import DiscreteMeasure, _sphere_area, _unit_ball_volume
 from .spectral import (
     ComplexField,
@@ -131,7 +131,7 @@ def spherical_average(f, mu: DiscreteMeasure, t: float, grid: SpectralGrid,
     T_lambda with lambda the probability measure on the radius-t sphere:
     transform of the weighted measure, damped by the sphere multiplier at
     dilation t and a Gaussian mollifier, inverted to the space side.  The
-    real part carries the average; the imaginary part is roundoff for real
+    real part carries the average; the imaginary part is exactly 0 for real
     inputs.
     """
     _check_t(t, grid)
@@ -187,11 +187,11 @@ def maximal_function(f, mu: DiscreteMeasure, t_grid, grid: SpectralGrid,
     _check_t(float(t_arr[-1]), grid)
     eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
     spec = Spectrum(f, mu, grid)
-    damp = mollifier_hat(eps * spec.rho)
     base = sphere_multiplier(grid.dim)
     best = None
     for t in t_arr:
-        mag = np.abs(spec.apply(base(t * spec.rho) * damp).values)
+        mag = np.abs(spec.apply(
+            lambda rho: base(t * rho) * mollifier_hat(eps * rho)).values)
         best = mag if best is None else np.maximum(best, mag)
     return ComplexField(grid, best.astype(np.complex128), rep="space")
 
@@ -204,8 +204,7 @@ def dyadic_operator(f, mu: DiscreteMeasure, j: int, grid: SpectralGrid) -> Compl
         raise DomainError(
             f"dyadic scale 2^{j} exceeds freq_max/4 = {grid.freq_max / 4.0}; "
             "the pass band would alias")
-    spec = Spectrum(f, mu, grid)
-    return spec.apply(lowpass_phi_hat(2.0 ** (-j) * spec.rho))
+    return Spectrum(f, mu, grid).apply(lambda rho: lowpass_phi_hat(2.0 ** (-j) * rho))
 
 
 def convolve_distribution(multiplier: Callable, f, mu: DiscreteMeasure,
@@ -220,16 +219,10 @@ def convolve_distribution(multiplier: Callable, f, mu: DiscreteMeasure,
     riesz_multiplier does.
     """
     eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
-    spec = Spectrum(f, mu, grid)
-    mult = np.asarray(multiplier(spec.rho), dtype=np.float64)
-    finite = np.isfinite(mult)
-    if not finite.all():
-        raise ConfigError("multiplier",
-                          f"singular at {finite.size - np.count_nonzero(finite)} "
-                          "grid frequencies; give the origin a finite mean")
-    # rebinding frees the bare multiplier before the inverse transform
-    mult = mult * mollifier_hat(eps * spec.rho)
-    return spec.apply(mult)
+    # damping keeps a non-finite value non-finite, and Spectrum rejects it
+    return Spectrum(f, mu, grid).apply(
+        lambda rho: np.asarray(multiplier(rho), dtype=np.float64)
+        * mollifier_hat(eps * rho))
 
 
 # ---- Riesz row sums ----
@@ -287,5 +280,5 @@ def sphere_l2_profile(f, mu: DiscreteMeasure, grid: SpectralGrid,
     j_arr = [int(j) for j in np.atleast_1d(j_values)]
     spec = Spectrum(f, mu, grid)
     base = sphere_multiplier(grid.dim)
-    return np.array([math.sqrt(spec.energy(base(2.0 ** (-j) * spec.rho) ** 2))
+    return np.array([math.sqrt(spec.energy(lambda rho: base(2.0 ** (-j) * rho) ** 2))
                      for j in j_arr])

@@ -16,6 +16,12 @@ Two evaluation paths feed the same contract:
   transform (Gauss-Legendre quadrature) is divided out.  The result agrees
   with the direct sum, which stays available as the oracle
   (`direct_fourier`), to within 1e-11 of the largest transform modulus.
+
+`measure_fourier` returns the full lattice.  The operators go through
+`Spectrum`, which keeps the rfftn half lattice (f dmu is real, or two real
+parts) and evaluates each radial multiplier on a 1-d table of the radii
+sqrt(K2) * freq_step, K2 = |k|^2 an integer, gathered by K2.  Both share
+one bin-or-spread helper.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Callable
 import numpy as np
 import scipy.fft
 
-from .errors import DomainError, FitError, ParameterError, ResourceError
+from .errors import ConfigError, DomainError, FitError, ParameterError, ResourceError
 from .fitting import FitReport, line_fit
 from .measures import DiscreteMeasure, _read_exact
 
@@ -238,18 +244,63 @@ def _spread_es(c: np.ndarray, u: np.ndarray, n_fine: int, dim: int) -> np.ndarra
     return total.reshape((n_fine,) * dim)
 
 
-def _es_deconvolution(n: int, n_fine: int) -> np.ndarray:
-    """(-1)^k / (n_fine psi_hat(k)) for the n central modes k in FFT order.
-
-    psi_hat is the continuous transform of the kernel at the fine pitch,
-    n_fine psi_hat(k) = (ns / 2) phi_hat(pi k ns / n_fine); the sign is the
-    checkerboard that shifts the torus origin to -L.
-    """
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    ft = 0.5 * _ES_NS * (
+def _es_transform(k: np.ndarray, n_fine: int) -> np.ndarray:
+    """n_fine psi_hat(k) for the integer modes k: psi_hat is the continuous
+    transform of the kernel at the fine pitch, (ns / 2) phi_hat(pi k ns / n_fine)."""
+    return 0.5 * _ES_NS * (
         np.cos(np.outer(k * (math.pi * _ES_NS / n_fine), _ES_QUAD_Z)) @ _ES_QUAD_W)
-    sign = 1.0 - 2.0 * (k.astype(np.int64) % 2)
-    return sign / ft
+
+
+def _transform(c: np.ndarray, mu: DiscreteMeasure, grid: SpectralGrid,
+               half: bool) -> np.ndarray:
+    """Transform of the strengths c at the atoms of mu, in FFT order.
+
+    half=False gives measure_fourier's full lattice.  half=True needs real c
+    and gives the rfftn half lattice, whose last axis holds the modes
+    0..n/2, with the origin left at the box corner -L: the checkerboard
+    (-1)^k that moves it to 0 would cancel against the one of the inverse.
+    Atoms on grid nodes are binned; others are spread with the ES kernel and
+    the kernel's transform is divided out.
+    """
+    n = grid.n_per_axis
+    d = grid.dim
+    fft = scipy.fft.rfftn if half else scipy.fft.fftn
+    lattice = _lattice_indices(mu, grid)
+    if lattice is not None:
+        flat = lattice[:, 0]
+        for a in range(1, d):
+            flat = flat * n + lattice[:, a]
+        binned = np.bincount(flat, weights=c.real, minlength=n**d)
+        if np.iscomplexobj(c):  # bincount takes real weights only
+            binned = binned + 1j * np.bincount(flat, weights=c.imag, minlength=n**d)
+        spectrum = fft(binned.reshape((n,) * d), workers=_fft_workers)
+        return spectrum if half else grid.checkerboard() * spectrum
+
+    n_fine = 2 * n
+    if n_fine**d > _MAX_SPREAD_VALUES:
+        raise ResourceError(
+            "oversampled spreading grid too large; align atoms to the lattice "
+            "or use a coarser grid")
+    u = (mu.atoms + grid.box_half_width) / (2.0 * grid.box_half_width)
+    spec = fft(_spread_es(c, u, n_fine, d), workers=_fft_workers)
+    # the central n modes per axis are the first and last n/2 in FFT order:
+    # one block per choice of half on each axis; the half lattice's last
+    # axis is the one block 0..n/2
+    h = n // 2
+    halves = ((slice(0, h), slice(0, h)), (slice(h, n), slice(n_fine - h, None)))
+    last = ((slice(0, h + 1), slice(0, h + 1)),) if half else halves
+    central = np.empty((n,) * (d - 1) + ((h + 1,) if half else (n,)),
+                       dtype=np.complex128)
+    for pick in itertools.product(*([halves] * (d - 1) + [last])):
+        dst, src = zip(*pick)
+        central[dst] = spec[src]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    for a in range(d):
+        modes = np.arange(h + 1.0) if half and a == d - 1 else k
+        sign = 1.0 if half else 1.0 - 2.0 * (modes.astype(np.int64) % 2)
+        factor = sign / _es_transform(modes, n_fine)
+        central *= factor.reshape((-1,) + (1,) * (d - a - 1))
+    return central
 
 
 def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> ComplexField:
@@ -265,37 +316,7 @@ def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> ComplexField:
     """
     _check_in_box(mu, grid)
     c = _atom_values(f, mu) * mu.weights
-    n = grid.n_per_axis
-
-    lattice = _lattice_indices(mu, grid)
-    if lattice is not None:
-        flat = lattice[:, 0]
-        for a in range(1, grid.dim):
-            flat = flat * n + lattice[:, a]
-        binned = np.bincount(flat, weights=c, minlength=n**grid.dim)
-        binned = binned.reshape((n,) * grid.dim)
-        spectrum = scipy.fft.fftn(binned, workers=_fft_workers)
-        return ComplexField(grid, grid.checkerboard() * spectrum, "freq")
-
-    n_fine = 2 * n
-    if n_fine**grid.dim > _MAX_SPREAD_VALUES:
-        raise ResourceError(
-            "oversampled spreading grid too large; align atoms to the lattice "
-            "or use a coarser grid")
-    u = (mu.atoms + grid.box_half_width) / (2.0 * grid.box_half_width)
-    spec = scipy.fft.fftn(_spread_es(c, u, n_fine, grid.dim), workers=_fft_workers)
-    # the central n modes per axis are the first and last n/2 in FFT order:
-    # one block per choice of half on each axis
-    h = n // 2
-    halves = ((slice(0, h), slice(0, h)), (slice(h, n), slice(n_fine - h, None)))
-    central = np.empty((n,) * grid.dim, dtype=np.complex128)
-    for pick in itertools.product(halves, repeat=grid.dim):
-        dst, src = zip(*pick)
-        central[dst] = spec[src]
-    factor = _es_deconvolution(n, n_fine)
-    for a in range(grid.dim):
-        central *= factor.reshape((n,) + (1,) * (grid.dim - a - 1))
-    return ComplexField(grid, central, "freq")
+    return ComplexField(grid, _transform(c, mu, grid, False), "freq")
 
 
 def to_space(field: ComplexField) -> ComplexField:
@@ -318,31 +339,104 @@ def to_freq(field: ComplexField) -> ComplexField:
     return ComplexField(g, vals, "freq")
 
 
+def _radius_keys(grid: SpectralGrid):
+    """Integer keys of |xi| on the rfftn half lattice, and the radius table
+    they index.
+
+    For d >= 2 the key is K2 = |k|^2 in integer modes, which covers most of
+    0..d (n/2)^2.  In d = 1 it is |k|, since k^2 would use n/2 + 1 of its
+    (n/2)^2 + 1 entries.
+    """
+    n, d = grid.n_per_axis, grid.dim
+    last = np.arange(n // 2 + 1, dtype=np.int32)
+    if d == 1:
+        return last, last * grid.freq_step
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int32)
+    key = last**2
+    for a in range(d - 1):
+        key = (k**2).reshape((n,) + (1,) * (d - 1 - a)) + key
+    return key, np.sqrt(np.arange(int(key.max()) + 1)) * grid.freq_step
+
+
 class Spectrum:
-    """The transform of f dmu on a grid, with |xi| on the same lattice.
+    """The transform of f dmu on a grid, kept as the rfftn half lattice.
 
     Every frequency-side operator is one real radial multiplier applied to
-    this transform, then inverted (apply) or reduced to an energy (energy);
-    the transform and the radii are computed once per (f, mu, grid).
+    this transform, then inverted (apply) or reduced to an energy (energy).
+    Both take the multiplier as a profile, a callable of |xi|, evaluate it
+    once on a 1-d table of radii (sqrt(K2) * freq_step for every integer
+    K2 = |k|^2 up to the largest; in d = 1, |k| * freq_step) and gather it
+    over the lattice.  A profile that is not finite at some grid frequency
+    is a ConfigError on the multiplier: singular multipliers carry their
+    own finite origin value, as riesz_multiplier does.
+
+    Real f dmu has a Hermitian transform, so the half lattice (last axis
+    0..n/2) holds all of it; complex f is two real transforms, by
+    linearity.  The transform keeps its origin at the box corner, because
+    the checkerboard that measure_fourier applies cancels in the inverse.
+    energy counts each half-lattice point for itself and its mirror -k.
+
+    The half lattice differs from measure_fourier's on the Nyquist planes
+    only: it has the mode +n/2 where that has -n/2, and the real inverse
+    keeps only the Hermitian part of the last axis's Nyquist column.  A
+    binned transform is the same at +n/2 and -n/2.  A spread one is not,
+    so there apply and energy differ from the full-lattice route by what
+    the profile leaves on those planes: roundoff for every multiplier
+    damped by the mollifier.
     """
 
     def __init__(self, f, mu: DiscreteMeasure, grid: SpectralGrid):
+        _check_in_box(mu, grid)
+        c = _atom_values(f, mu) * mu.weights
+        parts = (c.real, c.imag) if np.iscomplexobj(c) else (c,)
         self.grid = grid
-        self.hat = measure_fourier(f, mu, grid).values
-        self.rho = grid.freq_radii()
+        self._halves = [_transform(p, mu, grid, True) for p in parts]
+        self._keys, self._radii = _radius_keys(grid)
+
+    def _table(self, profile) -> np.ndarray:
+        table = np.asarray(profile(self._radii), dtype=np.float64)
+        bad = ~np.isfinite(table)
+        # the table also holds radii that no grid frequency has
+        singular = int(self._multiplicity[bad].sum()) if bad.any() else 0
+        if singular:
+            raise ConfigError("multiplier", f"singular at {singular} grid frequencies; "
+                              "give the origin a finite mean")
+        return table
+
+    def _lattice_hist(self, values: np.ndarray) -> np.ndarray:
+        """Sum of values over the full lattice, binned by radius: the
+        last-axis columns 1..n/2-1 stand for two points each, so values
+        is doubled there in place."""
+        values[..., 1:-1] *= 2.0
+        return np.bincount(self._keys.ravel(), weights=values.ravel(),
+                           minlength=self._radii.size)
+
+    @cached_property
+    def _multiplicity(self) -> np.ndarray:
+        """Number of full-lattice points at each radius of the table."""
+        return self._lattice_hist(np.ones(self._keys.shape))
 
     @cached_property
     def _power(self) -> np.ndarray:
-        return np.abs(self.hat) ** 2
+        return self._lattice_hist(sum(h.real**2 + h.imag**2 for h in self._halves))
 
-    def apply(self, mult) -> ComplexField:
-        """Space-side field of the transform times mult."""
-        return to_space(ComplexField(self.grid, self.hat * mult, "freq"))
-
-    def energy(self, weight) -> float:
-        """Riemann sum of |transform|^2 * weight over the frequency lattice."""
+    def apply(self, profile) -> ComplexField:
+        """Space-side field of the transform times profile(|xi|); its
+        imaginary part is exactly 0 for real f."""
         g = self.grid
-        return float(np.sum(self._power * weight)) * g.freq_step ** g.dim
+        shape = (g.n_per_axis,) * g.dim
+        table = self._table(profile) * (g.n_per_axis * g.freq_step) ** g.dim
+        out = np.zeros(shape, dtype=np.complex128)
+        for part, h in zip((out.real, out.imag), self._halves):
+            part[...] = scipy.fft.irfftn(h * table[self._keys], s=shape,
+                                         workers=_fft_workers, overwrite_x=True)
+        return ComplexField(g, out, "space")
+
+    def energy(self, profile) -> float:
+        """Riemann sum of |transform|^2 * profile(|xi|) over the frequency
+        lattice."""
+        g = self.grid
+        return float(self._power @ self._table(profile)) * g.freq_step ** g.dim
 
 
 def field_l2sq(field: ComplexField) -> float:
@@ -511,7 +605,7 @@ def strichartz_profile(f, mu: DiscreteMeasure, grid: SpectralGrid,
     if np.any(r_values > grid.freq_max):
         raise DomainError(f"radius beyond freq_max {grid.freq_max}")
     spec = Spectrum(f, mu, grid)
-    return np.array([r ** -(grid.dim - s) * spec.energy(spec.rho <= r)
+    return np.array([r ** -(grid.dim - s) * spec.energy(lambda rho: rho <= r)
                      for r in r_values])
 
 
@@ -522,7 +616,7 @@ def annulus_energy_profile(f, nu: DiscreteMeasure, grid: SpectralGrid,
     for j in j_values:
         _check_annulus(grid, j)
     spec = Spectrum(f, nu, grid)
-    return np.array([spec.energy(annulus_beta(spec.rho * 2.0**-j))
+    return np.array([spec.energy(lambda rho: annulus_beta(rho * 2.0**-j))
                      for j in j_values])
 
 

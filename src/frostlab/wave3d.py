@@ -143,12 +143,11 @@ def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
         _check_t(t, grid)
     eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
     spec = Spectrum(f, mu, grid)
-    damp = mollifier_hat(eps * spec.rho)
-    target = spec.apply(damp).values.real
+    target = spec.apply(lambda rho: mollifier_hat(eps * rho)).values.real
     base = sphere_multiplier(3)
     errors = []
     for t in t_arr:
-        sp = spec.apply(base(t * spec.rho) * damp)
+        sp = spec.apply(lambda rho: base(t * rho) * mollifier_hat(eps * rho))
         errors.append(float(np.max(np.abs(sp.values.real - target))))
     fit = loglog_fit(t_arr, errors)
     return PointwiseReport(times=t_arr, errors=tuple(errors), fit=fit)

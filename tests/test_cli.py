@@ -87,15 +87,16 @@ def test_ill_typed_config_value_exits_3(tmp_path, capsys, command, doc, path):
     assert f"frostlab: config error: {path}: " in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_result_exits_3_without_writing_it(tmp_path, capsys):
-    # a p this large overflows the shell series to NaN, which JSON cannot hold
+    # a p this large overflows the shell series to +inf, which JSON cannot
+    # hold; series.csv is written before the verdict fails, and is removed
     cfg = _cfg(tmp_path, "c.json", {"experiment": "counterexample",
                                     "kind": "stein", "p": 1e6})
+    (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
     rc = main(["counterexample", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 3
     assert "verdict.json: " in capsys.readouterr().err
-    assert not (tmp_path / "verdict.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "notes.txt"]
 
 
 @pytest.mark.parametrize("doc, path", [

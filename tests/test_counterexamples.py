@@ -2,6 +2,7 @@
 scaling fits, and refinement monotonicity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ def test_convergent_partial_sum_matches_full_integral():
         lambda r: 2.0 * math.pi * r ** a * math.log(1.0 / r) ** -2.0,
         0.0, 0.5)
     assert rep.lp_series.partial_sums[-1] == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [1e3, 1e6])
+def test_overflowing_shell_series_is_divergent_not_nan(p):
+    # r^power / log(1/r)^p overflows both ways here; in log space it is +inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = stein_example(2, 1.5, p)
+    values = (rep.lp_series.increments + rep.lp_series.partial_sums
+              + (rep.lp_tail_rate, rep.divergence_slope))
+    assert not any(math.isnan(v) for v in values)
+    assert not rep.lp_norm_finite
 
 
 def test_partial_sums_are_cumulative_increments():

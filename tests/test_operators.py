@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from frostlab.errors import ConfigError, DomainError, ParameterError
 from frostlab.measures import (
@@ -42,6 +45,58 @@ G3_64 = SpectralGrid(3, 64, 2.0)
 
 CANTOR45SQ = product_measure([cantor_measure(0.25, 5)] * 2)
 DIRAC2 = measure_from_atoms(np.zeros((1, 2)), np.ones(1))
+
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def atom_cases(draw, box_half_width):
+    """A 16^2 or 8^3 grid on [-L, L)^d and up to 12 atoms in its middle half,
+    on grid nodes or anywhere."""
+    d = draw(st.integers(2, 3))
+    grid = SpectralGrid(d, 16 if d == 2 else 8, box_half_width)
+    k = draw(st.integers(1, 12))
+    half = box_half_width / 2.0
+    atoms = draw(hnp.arrays(np.float64, (k, d), elements=st.floats(-half, half)))
+    if draw(st.booleans()):
+        atoms = grid.spacing * np.round(atoms / grid.spacing)
+    weights = draw(hnp.arrays(np.float64, k, elements=st.floats(0.01, 1.0)))
+    return grid, measure_from_atoms(atoms, weights)
+
+
+@PROPERTY
+@given(atom_cases(2.0), st.floats(0.1, 1.0), st.data())
+def test_spherical_average_is_linear_in_f(case, t, data):
+    grid, mu = case
+    values = hnp.arrays(np.float64, mu.n_atoms, elements=st.floats(-1.0, 1.0))
+    f, g_re, g_im = (data.draw(values) for _ in range(3))
+    g = g_re + 1j * g_im
+    coef = st.floats(-10.0, 10.0)
+    a, b = data.draw(coef), complex(data.draw(coef), data.draw(coef))
+    got = spherical_average(a * f + b * g, mu, t, grid).values
+    want = (a * spherical_average(f, mu, t, grid).values
+            + b * spherical_average(g, mu, t, grid).values)
+    # sum |f w| (n dxi)^d bounds each term's values, so it scales roundoff
+    scale = ((abs(a) * np.sum(np.abs(f) * mu.weights)
+              + abs(b) * np.sum(np.abs(g) * mu.weights))
+             * (grid.n_per_axis * grid.freq_step) ** grid.dim)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(atom_cases(4.0),
+       st.lists(st.floats(1.0, 2.0), min_size=1, max_size=6, unique=True),
+       st.lists(st.floats(1.0, 2.0), min_size=1, max_size=6), st.data())
+def test_maximal_function_grows_under_t_grid_refinement(case, coarse, extra, data):
+    grid, mu = case
+    f = data.draw(hnp.arrays(np.float64, mu.n_atoms, elements=st.floats(-1.0, 1.0)))
+    coarse = sorted(coarse)
+    fine = sorted(set(coarse) | set(extra))
+    m_coarse = maximal_function(f, mu, coarse, grid).values.real
+    m_fine = maximal_function(f, mu, fine, grid).values.real
+    assert np.all(m_fine >= m_coarse)
 
 
 def rel_l2(a, b):
@@ -278,8 +333,8 @@ def test_spectrum_energy_is_grid_parseval():
     spec = Spectrum(None, CANTOR45SQ, G2_256)
     base = sphere_multiplier(2)
     for j in (1, 3, 5):
-        w = base(2.0 ** -j * spec.rho)
-        reduced = spec.energy(w ** 2)
+        w = lambda rho: base(2.0 ** -j * rho)
+        reduced = spec.energy(lambda rho: w(rho) ** 2)
         inverted = field_l2sq(spec.apply(w))
         assert reduced == pytest.approx(inverted, rel=1e-10)
 
@@ -300,15 +355,21 @@ def test_riesz_dc_rule_allows_singular_origin():
 
 
 def test_singular_multiplier_without_rule_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="singular at 1 grid frequencies"):
         convolve_distribution(
             lambda rho: np.where(rho == 0.0, np.inf, np.ones_like(rho)),
             None, CANTOR45SQ, G2_256)
     step = G2_256.freq_step
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="singular at 4 grid frequencies"):
         convolve_distribution(
             lambda rho: np.where(np.isclose(rho, step), np.inf, np.ones_like(rho)),
             None, CANTOR45SQ, G2_256)
+    # |k|^2 = 3 is no sum of two squares: no grid frequency has this radius
+    out = convolve_distribution(
+        lambda rho: np.where(np.isclose(rho, math.sqrt(3.0) * step), np.inf,
+                             np.ones_like(rho)),
+        None, CANTOR45SQ, G2_256)
+    assert np.isfinite(out.values).all()
 
 
 def test_riesz_sup_bounded_for_large_alpha():

@@ -226,6 +226,88 @@ def test_measure_fourier_is_linear_in_f(case, data):
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+@st.composite
+def spectrum_cases(draw):
+    """A small grid in d = 1, 2, 3, up to 24 atoms either on grid nodes
+    (binned) or anywhere in [-L, L)^d (spread), and real or complex f."""
+    d = draw(st.integers(1, 3))
+    grid = SpectralGrid(d, draw(st.sampled_from([8, 16, 32])), 2.0)
+    k = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        nodes = hnp.arrays(np.int64, (k, d),
+                           elements=st.integers(0, grid.n_per_axis - 1))
+        atoms = -2.0 + grid.spacing * draw(nodes)
+    else:
+        coord = st.floats(-2.0, 2.0, exclude_max=True)
+        atoms = draw(hnp.arrays(np.float64, (k, d), elements=coord))
+        atoms = np.vstack([atoms, np.full((1, d), 0.3 * grid.spacing)])
+    mu = measure_from_atoms(atoms, draw(hnp.arrays(
+        np.float64, atoms.shape[0], elements=st.floats(0.01, 1.0))))
+    values = hnp.arrays(np.float64, mu.n_atoms, elements=st.floats(-1.0, 1.0))
+    f = draw(values)
+    if draw(st.booleans()):
+        f = f + 1j * draw(values)
+    return grid, mu, f
+
+
+def damped_cosine(grid, t):
+    """A radial profile with the mollifier's damping: it vanishes on the
+    Nyquist planes to roundoff, as every operator's multiplier does."""
+    eps = 2.0 / grid.freq_max
+    return lambda rho: np.cos(2.0 * np.pi * t * rho) * mollifier_hat(eps * rho)
+
+
+def space_bound(f, mu, grid):
+    """sum |f w| (n dxi)^d bounds every space-side value of the transform
+    times a profile bounded by 1, so it scales roundoff."""
+    return (np.sum(np.abs(f) * mu.weights)
+            * (grid.n_per_axis * grid.freq_step) ** grid.dim)
+
+
+@PROPERTY
+@given(spectrum_cases(), st.floats(0.1, 1.0))
+def test_spectrum_apply_matches_full_lattice_route(case, t):
+    grid, mu, f = case
+    w = damped_cosine(grid, t)
+    got = spectral.Spectrum(f, mu, grid).apply(w)
+    full = measure_fourier(f, mu, grid)
+    want = to_space(ComplexField(grid, full.values * w(grid.freq_radii()), "freq"))
+    assert got.rep == "space" and got.values.dtype == np.complex128
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12 * space_bound(f, mu, grid)
+    if np.isrealobj(f):
+        assert not np.any(got.values.imag)
+
+
+@PROPERTY
+@given(spectrum_cases(), st.floats(0.1, 1.0))
+def test_spectrum_energy_is_parseval_of_apply(case, t):
+    grid, mu, f = case
+    spec = spectral.Spectrum(f, mu, grid)
+    # the real inverse keeps the Hermitian part of the last axis's Nyquist
+    # column only; a binned transform is Hermitian there, a spread one is
+    # not, so off the lattice the profile is damped there
+    if spectral._lattice_indices(mu, grid) is not None:
+        w = lambda rho: np.cos(2.0 * np.pi * t * rho)
+    else:
+        w = damped_cosine(grid, t)
+    reduced = spec.energy(lambda rho: w(rho) ** 2)
+    inverted = field_l2sq(spec.apply(w))
+    scale = np.sum(np.abs(f) * mu.weights) ** 2 * (grid.n_per_axis * grid.freq_step) ** grid.dim
+    assert reduced == pytest.approx(inverted, rel=1e-10, abs=1e-13 * scale)
+
+
+def test_spectrum_energy_matches_full_lattice_sum():
+    # the half lattice counts each interior column twice, for its mirror
+    grid = SpectralGrid(3, 16, 2.0)
+    mu = lebesgue_box_measure(3, 1.0, 8)
+    f = lambda x: np.cos(x[:, 0]) + 1j * x[:, 1]
+    full = measure_fourier(f, mu, grid).values
+    rho = grid.freq_radii()
+    want = np.sum(np.abs(full) ** 2 * lowpass_chi(rho)) * grid.freq_step ** 3
+    got = spectral.Spectrum(f, mu, grid).energy(lowpass_chi)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
 def test_measure_outside_box_rejected():
     mu = measure_from_atoms(np.array([[2.5]]), np.array([1.0]))
     with pytest.raises(DomainError):
