@@ -34,7 +34,6 @@ from .measures import (
     load_measure_binary,
     load_measure_json,
     measure_from_atoms,
-    measure_hash,
     product_measure,
     radial_power_measure,
     random_ball_measure,

@@ -18,7 +18,6 @@ Conventions
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -620,12 +619,3 @@ def load_measure_binary(path) -> DiscreteMeasure:
         dim=dim, atoms=atoms, weights=weights, total_mass=total,
         nominal_s=None if math.isnan(nominal) else nominal,
         construction=tag, box_lo=box_lo, box_hi=box_hi, resolution=res)
-
-
-def measure_hash(mu: DiscreteMeasure) -> str:
-    """Content hash over the numerical payload, stable across processes."""
-    h = hashlib.sha256()
-    h.update(struct.pack("<IQ", mu.dim, mu.n_atoms))
-    h.update(mu.atoms.astype("<f8").tobytes())
-    h.update(mu.weights.astype("<f8").tobytes())
-    return h.hexdigest()

@@ -17,6 +17,17 @@ Two evaluation paths feed the same contract:
   with the direct sum, which stays available as the oracle
   (`direct_fourier`), to within 1e-11 of the largest transform modulus.
 
+The spread depends on the atom positions and the fine grid, not on the
+strengths f w.  So it is built once as a sparse (fine grid, atoms) matrix,
+the plan, whose column i holds atom i's 14^d kernel values, and each later
+transform at the same positions is one sparse product (positions fixed
+once, strengths many, as in FINUFFT).  The module keeps the last plan,
+keyed on the fine grid size, the dimension and an exact copy of the torus
+positions (x + L) / 2L, compared element by element: a change of atoms,
+box or grid builds a new one.  A plan costs 12 bytes per kernel value,
+12 * 14^d bytes per atom; one is kept only up to 2^22 values (about
+48 MB), and larger problems spread each transform afresh.
+
 `measure_fourier` returns the full lattice.  The operators go through
 `Spectrum`, which keeps the rfftn half lattice (f dmu is real, or two real
 parts) and evaluates each radial multiplier on a 1-d table of the radii
@@ -31,11 +42,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
+import scipy.sparse
 
 from .errors import ConfigError, DomainError, FitError, ParameterError, ResourceError
 from .fitting import FitReport, line_fit
@@ -56,6 +67,10 @@ _MAX_SPREAD_VALUES = 2**25
 _ES_NS = 14
 _ES_BETA = 2.30 * _ES_NS
 _SPREAD_CHUNK_POINTS = 2**17
+
+# a spread plan (see _spread) is kept only up to this many kernel values,
+# 12 bytes each: 2^22 is about 48 MB
+_SPREAD_PLAN_ENTRIES = 2**22
 
 _fft_workers = 1
 
@@ -129,12 +144,6 @@ class SpectralGrid:
             shape[a] = self.n_per_axis
             out = out * sign.reshape(shape)
         return out
-
-
-def default_grid(dim: int) -> SpectralGrid:
-    """The workhorse grids: 4096 (d=1), 1024^2 (d=2), 256^3 (d=3) on [-2,2]^d."""
-    n = {1: 4096, 2: 1024, 3: 256}[dim]
-    return SpectralGrid(dim=dim, n_per_axis=n, box_half_width=2.0)
 
 
 @dataclass
@@ -220,27 +229,80 @@ _ES_QUAD_W = 2.0 * _gl_w[_gl_z > 0] * _es_kernel(_ES_QUAD_Z)
 del _gl_z, _gl_w
 
 
-def _spread_es(c: np.ndarray, u: np.ndarray, n_fine: int, dim: int) -> np.ndarray:
-    """Scatter strengths c at torus positions u in [0, 1)^dim onto the
-    n_fine^dim grid, each atom reaching the _ES_NS nodes per axis within
-    _ES_NS / 2 fine cells of it."""
+def _es_chunks(u: np.ndarray, n_fine: int, dim: int):
+    """Yield (i0, rows, weights) for consecutive chunks of the torus
+    positions u in [0, 1)^dim: row b of rows and weights holds the flat
+    indices of the _ES_NS^dim nodes of the n_fine^dim grid that atom i0 + b
+    reaches (within _ES_NS / 2 fine cells per axis) and its kernel values
+    there."""
     ns = _ES_NS
     steps = np.arange(ns)
-    total = np.zeros(n_fine**dim, dtype=np.result_type(c, np.float64))
     chunk = max(1, _SPREAD_CHUNK_POINTS // ns**dim)
     for i0 in range(0, u.shape[0], chunk):
         s = u[i0:i0 + chunk] * n_fine
         first = np.ceil(s - ns / 2)
         b = s.shape[0]
-        wt = c[i0:i0 + chunk, None]
-        flat = np.zeros((b, 1), dtype=np.int64)
+        wt = np.ones((b, 1))
+        rows = np.zeros((b, 1), dtype=np.int64)
         for a in range(dim):
             # node offsets from the atom in kernel half-widths, |z| <= 1
             z = (first[:, a, None] + steps - s[:, a, None]) / (ns / 2)
             idx = (first[:, a].astype(np.int64)[:, None] + steps) % n_fine
             wt = (wt[:, :, None] * _es_kernel(z)[:, None, :]).reshape(b, -1)
-            flat = (flat[:, :, None] * n_fine + idx[:, None, :]).reshape(b, -1)
-        np.add.at(total, flat.ravel(), wt.ravel())
+            rows = (rows[:, :, None] * n_fine + idx[:, None, :]).reshape(b, -1)
+        yield i0, rows, wt
+
+
+def _spread_es(c: np.ndarray, u: np.ndarray, n_fine: int, dim: int) -> np.ndarray:
+    """Scatter strengths c at torus positions u in [0, 1)^dim onto the
+    n_fine^dim grid, one chunk of atoms at a time."""
+    total = np.zeros(n_fine**dim, dtype=np.result_type(c, np.float64))
+    for i0, rows, wt in _es_chunks(u, n_fine, dim):
+        np.add.at(total, rows.ravel(), (wt * c[i0:i0 + len(wt), None]).ravel())
+    return total.reshape((n_fine,) * dim)
+
+
+def _spread_plan(u: np.ndarray, n_fine: int, dim: int) -> scipy.sparse.csc_matrix:
+    """The spread as an (n_fine^dim, atoms) matrix: column i holds atom i's
+    kernel values, so plan @ c equals _spread_es(c, u, ...) flattened.
+    Filled chunk by chunk into preallocated arrays, so no chunk's int64
+    rows outlive it."""
+    per_atom = _ES_NS**dim
+    n_atoms = u.shape[0]
+    data = np.empty(n_atoms * per_atom)
+    indices = np.empty(n_atoms * per_atom, dtype=np.int32)
+    for i0, rows, wt in _es_chunks(u, n_fine, dim):
+        span = slice(i0 * per_atom, (i0 + len(wt)) * per_atom)
+        data[span] = wt.ravel()
+        indices[span] = rows.ravel()
+    indptr = np.arange(0, (n_atoms + 1) * per_atom, per_atom, dtype=np.int32)
+    return scipy.sparse.csc_matrix((data, indices, indptr),
+                                   shape=(n_fine**dim, n_atoms))
+
+
+# the last plan built, as (n_fine, dim, u, plan): transforming many strength
+# vectors at one set of positions (opnorm's witnesses) spreads only once
+_plan_cache = None
+
+
+def _spread(c: np.ndarray, u: np.ndarray, n_fine: int, dim: int) -> np.ndarray:
+    """_spread_es(c, u, n_fine, dim), through the cached plan for these
+    exact positions when one fits in _SPREAD_PLAN_ENTRIES."""
+    global _plan_cache
+    if u.shape[0] * _ES_NS**dim > _SPREAD_PLAN_ENTRIES:
+        return _spread_es(c, u, n_fine, dim)
+    hit = (_plan_cache is not None and _plan_cache[:2] == (n_fine, dim)
+           and np.array_equal(_plan_cache[2], u))
+    if not hit:
+        _plan_cache = None  # free the old plan before the new one is built
+        _plan_cache = (n_fine, dim, u.copy(), _spread_plan(u, n_fine, dim))
+    plan = _plan_cache[3]
+    if np.iscomplexobj(c):  # two real products: no complex copy of the plan
+        total = np.empty(plan.shape[0], dtype=np.complex128)
+        total.real = plan @ c.real
+        total.imag = plan @ c.imag
+    else:
+        total = plan @ c
     return total.reshape((n_fine,) * dim)
 
 
@@ -282,7 +344,7 @@ def _transform(c: np.ndarray, mu: DiscreteMeasure, grid: SpectralGrid,
             "oversampled spreading grid too large; align atoms to the lattice "
             "or use a coarser grid")
     u = (mu.atoms + grid.box_half_width) / (2.0 * grid.box_half_width)
-    spec = fft(_spread_es(c, u, n_fine, d), workers=_fft_workers)
+    spec = fft(_spread(c, u, n_fine, d), workers=_fft_workers)
     # the central n modes per axis are the first and last n/2 in FFT order:
     # one block per choice of half on each axis; the half lattice's last
     # axis is the one block 0..n/2
@@ -358,6 +420,16 @@ def _radius_keys(grid: SpectralGrid):
     return key, np.sqrt(np.arange(int(key.max()) + 1)) * grid.freq_step
 
 
+@lru_cache(maxsize=8)
+def _occurring_keys(grid: SpectralGrid) -> np.ndarray:
+    """The entries of _radius_keys' table that some lattice point indexes:
+    at 256^2 about 6000 of the 32769 values of K2."""
+    keys, radii = _radius_keys(grid)
+    where = np.flatnonzero(np.bincount(keys.ravel(), minlength=radii.size))
+    where.setflags(write=False)  # one array serves every later caller
+    return where
+
+
 class Spectrum:
     """The transform of f dmu on a grid, kept as the rfftn half lattice.
 
@@ -394,9 +466,12 @@ class Spectrum:
         self._keys, self._radii = _radius_keys(grid)
 
     def _table(self, profile) -> np.ndarray:
-        table = np.asarray(profile(self._radii), dtype=np.float64)
+        # the profile is evaluated only at radii that some grid frequency
+        # has; the rest of the table stays 0 and is never gathered
+        where = _occurring_keys(self.grid)
+        table = np.zeros(self._radii.size)
+        table[where] = profile(self._radii[where])
         bad = ~np.isfinite(table)
-        # the table also holds radii that no grid frequency has
         singular = int(self._multiplicity[bad].sum()) if bad.any() else 0
         if singular:
             raise ConfigError("multiplier", f"singular at {singular} grid frequencies; "
@@ -476,6 +551,7 @@ def field_at_points(field: ComplexField, points) -> np.ndarray:
 
 _CHI_LO = 1.5
 _CHI_HI = 2.0
+_ANNULUS_SUPPORT = (_CHI_LO / 2.0, _CHI_HI)  # where annulus_beta is nonzero
 
 
 def _smooth_step(t):
@@ -520,27 +596,6 @@ def lowpass_phi_hat(rho):
     """
     rho = np.asarray(rho, dtype=float)
     return np.exp(-36.0 * rho**2)
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Descriptor for one radial cutoff profile.
-
-    support and plateau are radial intervals; profile maps |xi| arrays to values.
-    """
-
-    kind: str
-    support: tuple
-    plateau: tuple
-    profile: Callable
-
-
-CUTOFFS = {
-    "littlewood_paley_annulus": CutoffSpec(
-        "littlewood_paley_annulus", (0.75, 2.0), (1.0, 1.5), annulus_beta),
-    "low_pass": CutoffSpec("low_pass", (0.0, 2.0), (0.0, 1.5), lowpass_chi),
-    "mollifier": CutoffSpec("mollifier", (0.0, math.inf), (0.0, 0.0), mollifier_hat),
-}
 
 
 def littlewood_paley(field: ComplexField, j: int) -> ComplexField:
@@ -634,7 +689,7 @@ def _check_annulus(grid: SpectralGrid, j: int) -> None:
     """Annuli start at j = 1, and 2^j * support must fit below freq_max."""
     if j < 1:
         raise ParameterError("annulus weights start at j = 1")
-    lo, hi = CUTOFFS["littlewood_paley_annulus"].support
+    lo, hi = _ANNULUS_SUPPORT
     if 2.0**j * hi > grid.freq_max:
         raise DomainError(
             f"annulus 2^{j} * [{lo}, {hi}] exceeds freq_max {grid.freq_max}")

@@ -5,10 +5,14 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from frostlab import spectral
 from frostlab.cli import main
-from frostlab.measures import load_measure_json
+from frostlab.measures import cantor_measure, load_measure_json, product_measure
+from frostlab.operators import spherical_average
+from frostlab.spectral import SpectralGrid, set_fft_workers
 
 
 def _cfg(tmp_path, name, doc):
@@ -361,6 +365,49 @@ def test_identical_config_and_seed_give_identical_bytes(tmp_path):
     assert main(["avg", "--config", cfg, "--seed", "7", "--out", str(b)]) == 0
     for name in ("slice.csv", "field.bin", "manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# the transform routes with worker threads or caches: an off-lattice
+# Cantor square goes through the spread plan, the maximal function and
+# opnorm through many transforms of one measure
+THREAD_RUNS = [
+    ("avg", {"measure": _SQUARE, "grid": _GRID64, "t": 0.5,
+             "density": _GAUSS}),
+    ("maximal", {"measure": _SQUARE, "t_grid_n": 3,
+                 "grid": {"dim": 2, "n_per_axis": 64, "box_half_width": 4.0}}),
+    ("opnorm", {"measure": _SQUARE, "grid": _GRID64, "t": 0.5, "p": 3.0,
+                "nu": {"kind": "lebesgue-box", "d": 2, "half_width": 1.0,
+                       "n_cells": 8}, "family": "bumps"}),
+]
+
+
+def test_threads_and_plan_cache_leave_the_bits_unchanged(tmp_path,
+                                                        monkeypatch):
+    for command, doc in THREAD_RUNS:
+        cfg = _cfg(tmp_path, command + ".json", {"experiment": command, **doc})
+        outs = [tmp_path / f"{command}-threads{n}" for n in (1, 2)]
+        try:
+            for n, out in zip((1, 2), outs):
+                assert main([command, "--config", cfg, "--seed", "7",
+                             "--threads", str(n), "--out", str(out)]) == 0
+        finally:
+            set_fft_workers(1)
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert "manifest.json" in names
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), (command, name)
+
+    mu = product_measure([cantor_measure(0.25, 4)] * 2)
+    grid = SpectralGrid(2, 64, 2.0)
+    assert spectral._lattice_indices(mu, grid) is None
+    f = np.cos(np.arange(mu.n_atoms))
+    monkeypatch.setattr(spectral, "_plan_cache", None)
+    cold = spherical_average(f, mu, 0.5, grid).values
+    assert spectral._plan_cache is not None
+    warm = spherical_average(f, mu, 0.5, grid).values
+    assert np.array_equal(cold, warm)
 
 
 def test_module_entry_point(tmp_path):

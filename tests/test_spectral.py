@@ -23,7 +23,6 @@ from frostlab.measures import (
 )
 from frostlab.spectral import (
     ComplexField,
-    CUTOFFS,
     SpectralGrid,
     annulus_beta,
     annulus_energy_profile,
@@ -226,6 +225,77 @@ def test_measure_fourier_is_linear_in_f(case, data):
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+# ---- the cached spread plan ----
+
+def offlattice_measure(seed, d=2, n_atoms=256):
+    rng = np.random.default_rng(seed)
+    return measure_from_atoms(rng.uniform(-1.5, 1.5, size=(n_atoms, d)),
+                              rng.uniform(0.1, 1.0, n_atoms))
+
+
+def streamed_fourier(f, mu, grid, monkeypatch):
+    """measure_fourier with no plan: every atom spread afresh by np.add.at."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_SPREAD_PLAN_ENTRIES", 0)
+        m.setattr(spectral, "_plan_cache", None)
+        out = measure_fourier(f, mu, grid).values
+        assert spectral._plan_cache is None
+        gap = spread_gap(f, mu, grid)
+    return out, gap
+
+
+@pytest.mark.parametrize("d, n", [(1, 512), (2, 64), (3, 32)])
+def test_planned_and_streamed_spreads_agree(monkeypatch, d, n):
+    grid = SpectralGrid(d, n, 2.0)
+    mu = offlattice_measure(d, d, 200)
+    assert spectral._lattice_indices(mu, grid) is None
+    rng = np.random.default_rng(20 + d)
+    cases = {"real": rng.uniform(0.5, 1.5, 200), "signed": rng.normal(size=200),
+             "complex": rng.normal(size=200) + 1j * rng.normal(size=200)}
+    monkeypatch.setattr(spectral, "_plan_cache", None)
+    plans = []
+    for name, f in cases.items():
+        planned = measure_fourier(f, mu, grid).values
+        plans.append(spectral._plan_cache)
+        assert spread_gap(f, mu, grid) <= SPREAD_TOL, name
+        streamed, gap = streamed_fourier(f, mu, grid, monkeypatch)
+        assert gap <= SPREAD_TOL, name
+        scale = np.max(np.abs(planned))
+        assert np.max(np.abs(planned - streamed)) <= 1e-15 * scale, name
+    # the first strengths built the plan and the others reused it
+    assert plans[0] is not None and all(p is plans[0] for p in plans)
+
+
+def _moved_in_place(mu, grid):
+    mu.atoms[:, 0] += 0.1
+    return mu, grid
+
+
+# each change keeps the atom array (or its shape) and moves what the
+# spread depends on: a plan looked up by the atoms alone would be stale
+PLAN_KEY_CHANGES = {
+    "box_half_width": lambda mu, grid: (mu, SpectralGrid(2, 64, 3.0)),
+    "n_per_axis": lambda mu, grid: (mu, SpectralGrid(2, 128, 2.0)),
+    "atoms_mutated_in_place": _moved_in_place,
+    "other_atoms_same_shape": lambda mu, grid: (offlattice_measure(2), grid),
+}
+
+
+@pytest.mark.parametrize("change", PLAN_KEY_CHANGES.values(),
+                         ids=PLAN_KEY_CHANGES.keys())
+def test_plan_cache_misses_when_the_positions_move(monkeypatch, change):
+    mu, grid = offlattice_measure(1), SpectralGrid(2, 64, 2.0)
+    measure_fourier(None, mu, grid)  # leaves this plan in the cache
+    plan = spectral._plan_cache
+    mu, grid = change(mu, grid)
+    assert spectral._lattice_indices(mu, grid) is None
+    warm = measure_fourier(None, mu, grid).values
+    assert spectral._plan_cache is not plan
+    monkeypatch.setattr(spectral, "_plan_cache", None)
+    cold = measure_fourier(None, mu, grid).values
+    assert np.array_equal(warm, cold)
+
+
 @st.composite
 def spectrum_cases(draw):
     """A small grid in d = 1, 2, 3, up to 24 atoms either on grid nodes
@@ -398,8 +468,10 @@ def test_cutoff_shapes():
     b = annulus_beta(r)
     assert np.all(b[(r >= 1.0) & (r <= 1.5)] == 1.0)
     assert np.all(b[(r <= 0.75) | (r >= 2.0)] == 0.0)
-    spec = CUTOFFS["littlewood_paley_annulus"]
-    assert spec.support == (0.75, 2.0) and spec.plateau == (1.0, 1.5)
+    # the annulus check admits 2^j * 2.0 up to freq_max = 32 and no further
+    spectral._check_annulus(GRID2, 4)
+    with pytest.raises(DomainError, match=r"2\^5 \* \[0\.75, 2\.0\] exceeds"):
+        spectral._check_annulus(GRID2, 5)
     assert mollifier_hat(0.0) == 1.0
 
 
