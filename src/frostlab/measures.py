@@ -24,14 +24,15 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import DomainError, FitError, ParameterError, ResourceError
 from .fitting import FitReport, loglog_fit
 
 _MEASURE_MAGIC = b"FMEAS001"
 
-# chunk sizes for pairwise scans, sized for a few hundred MB of headroom
-_PAIR_ROW_CHUNK = 256
+# pair-scan row blocks hold at most this many float64 distances (4 MB)
+_PAIR_BLOCK = 2**19
 _MAX_ENERGY_ATOMS = 100_000
 _MAX_PRODUCT_ATOMS = 2**25
 
@@ -415,17 +416,21 @@ class EnergyReport:
     level_values: np.ndarray
 
 
+def _pair_blocks(pts: np.ndarray):
+    """Upper-triangle row blocks (i0, d): d[a, b] = |x[i0+a] - x[i0+b]| if b > a, else 0."""
+    rows = max(1, _PAIR_BLOCK // pts.shape[0])
+    for i0 in range(0, pts.shape[0], rows):
+        d = cdist(pts[i0:i0 + rows], pts[i0:])
+        d[:, :rows] = np.triu(d[:, :rows], 1)
+        yield i0, d
+
+
 def _pair_energy(pts: np.ndarray, w: np.ndarray, s: float) -> float:
     total = 0.0
-    n = pts.shape[0]
-    for i0 in range(0, n, _PAIR_ROW_CHUNK):
-        diff = pts[i0:i0 + _PAIR_ROW_CHUNK, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        good = dist > 0
-        kern = np.zeros_like(dist)
-        np.power(dist, -s, where=good, out=kern)
-        total += float((w[i0:i0 + _PAIR_ROW_CHUNK, None] * w[None, :] * kern).sum())
-    return total
+    for i0, d in _pair_blocks(pts):
+        np.power(d, -s, out=d, where=d > 0)
+        total += float(w[i0:i0 + d.shape[0]] @ (d @ w[i0:]))
+    return 2.0 * total
 
 
 def _coarsen(mu: DiscreteMeasure, m: int):
@@ -490,24 +495,31 @@ def energy_integral(mu: DiscreteMeasure, s: float,
     return EnergyReport(value, bool(divergent), levels, level_values)
 
 
+def _annulus_inner(mu: DiscreteMeasure, t: float, eps_list) -> np.ndarray:
+    """inner[i, k] = mu{y : t <= |x_i - y| <= t + eps_k}.  Each pair (i, j) adds w_j to
+    row i and w_i to row j, in the bin of its distance between sorted edges whose first
+    is the float below t, so ties at t count; width k sums the bins up to t + eps_k."""
+    eps = np.asarray(eps_list, dtype=float)
+    if not (eps.size and 0 < t < math.inf and np.all((0 < eps) & (eps < math.inf))):
+        raise ParameterError(f"t and eps must be finite and positive, got {t}, {eps_list}")
+    edges = np.concatenate(([np.nextafter(t, -math.inf)], t + np.sort(eps)))
+    nb, w = edges.size + 1, mu.weights
+    hist = np.zeros((mu.n_atoms, nb))
+    for i0, d in _pair_blocks(mu.atoms):
+        b = np.searchsorted(edges, d)
+        for ids, wt in ((b + nb * np.arange(d.shape[0])[:, None], w[i0:]),
+                        (b + nb * np.arange(d.shape[1]), w[i0:i0 + d.shape[0], None])):
+            hist[i0:] += np.bincount(ids.ravel(), np.broadcast_to(wt, d.shape).ravel(),
+                                     hist[i0:].size).reshape(-1, nb)
+    return np.cumsum(hist[:, 1:], axis=1)[:, np.searchsorted(edges, t + eps) - 1]
+
+
 def annulus_pair_profile(mu: DiscreteMeasure, t: float, eps_list) -> np.ndarray:
     """Annulus pair masses for several widths in one pass over the pairs.
 
     Entry k is the mu x mu mass of ordered pairs with t <= |x-y| <= t+eps_k.
     """
-    eps = np.asarray(eps_list, dtype=float)
-    if t <= 0 or np.any(eps <= 0):
-        raise ParameterError("t and eps must be positive")
-    totals = np.zeros(eps.size)
-    n = mu.n_atoms
-    for i0 in range(0, n, _PAIR_ROW_CHUNK):
-        diff = mu.atoms[i0:i0 + _PAIR_ROW_CHUNK, None, :] - mu.atoms[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        wprod = mu.weights[i0:i0 + _PAIR_ROW_CHUNK, None] * mu.weights[None, :]
-        inside = dist >= t
-        for k, e in enumerate(eps):
-            totals[k] += float((wprod * (inside & (dist <= t + e))).sum())
-    return totals
+    return mu.weights @ _annulus_inner(mu, t, eps_list)
 
 
 def annulus_pair_mass(mu: DiscreteMeasure, t: float, eps: float) -> float:
@@ -520,19 +532,7 @@ def chain_triple_profile(mu: DiscreteMeasure, t: float, eps_list) -> np.ndarray:
 
     Factorizes through the per-z annulus mass, so the cost stays quadratic.
     """
-    eps = np.asarray(eps_list, dtype=float)
-    if t <= 0 or np.any(eps <= 0):
-        raise ParameterError("t and eps must be positive")
-    n = mu.n_atoms
-    inner = np.zeros((eps.size, n))
-    for i0 in range(0, n, _PAIR_ROW_CHUNK):
-        diff = mu.atoms[i0:i0 + _PAIR_ROW_CHUNK, None, :] - mu.atoms[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        inside = dist >= t
-        for k, e in enumerate(eps):
-            hit = inside & (dist <= t + e)
-            inner[k, i0:i0 + _PAIR_ROW_CHUNK] = (mu.weights[None, :] * hit).sum(axis=1)
-    return (mu.weights[None, :] * inner**2).sum(axis=1)
+    return mu.weights @ _annulus_inner(mu, t, eps_list) ** 2
 
 
 def chain_triple_mass(mu: DiscreteMeasure, t: float, eps: float) -> float:

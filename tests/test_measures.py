@@ -1,10 +1,15 @@
 """Constructors, ball-mass laws, Frostman fits, energies, and serialization."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from frostlab import measures
 from frostlab.errors import ParameterError, ResourceError
 from frostlab.fitting import loglog_fit
 from frostlab.measures import (
@@ -260,6 +265,69 @@ def test_chain_triple_dirac_and_saturation():
     sat = chain_triple_mass(BALL, 0.5, 10.0)
     pair_sat = annulus_pair_mass(BALL, 0.5, 10.0)
     assert sat > 0.5 * pair_sat**2 / BALL.total_mass  # Cauchy-Schwarz direction
+
+
+def brute_force_pair_sums(mu, t, eps, s):
+    """Annulus, chain and s-energy sums over ordered pairs, one atom's row at a time,
+    with the closed annulus t <= |x - y| <= t + eps_k tested on each distance."""
+    x, w = mu.atoms, mu.weights
+    inner, energy = np.zeros((len(eps), mu.n_atoms)), 0.0
+    for i in range(mu.n_atoms):
+        d = np.sqrt(((x - x[i]) ** 2).sum(axis=1))
+        for k, e in enumerate(eps):
+            inner[k, i] = w[(d >= t) & (d <= t + e)].sum()
+        energy += w[i] * (w[d > 0] * d[d > 0] ** -s).sum()
+    return inner @ w, inner ** 2 @ w, energy
+
+
+def assert_pair_sums_match_brute_force(mu, t, eps, s=0.5):
+    annulus, chain, energy = brute_force_pair_sums(mu, t, eps, s)
+    np.testing.assert_allclose(annulus_pair_profile(mu, t, eps), annulus, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(chain_triple_profile(mu, t, eps), chain, rtol=1e-12, atol=0)
+    assert measures._pair_energy(mu.atoms, mu.weights, s) == pytest.approx(energy, rel=1e-12)
+
+
+@st.composite
+def snapped_cases(draw):
+    """Up to 40 atoms on the 1/8 lattice in d = 1, 2, 3, with t and t + eps at
+    lattice distances (t = sqrt(k)/8 is the exact rounding of one), so that pairs
+    tie with both edges of the annulus; eps holds repeats and arrives unsorted."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 40))
+    atoms = draw(hnp.arrays(np.float64, (k, d), elements=st.integers(-6, 6))) / 8.0
+    weights = draw(hnp.arrays(np.float64, k, elements=st.floats(0.01, 1.0)))
+    t = math.sqrt(draw(st.integers(1, 40))) / 8.0
+    eps = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    return measure_from_atoms(atoms, weights), t, [e / 8.0 for e in eps]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(snapped_cases(), st.sampled_from([1, 7, 64, 2**19]))
+def test_pair_scans_match_brute_force_on_lattice_ties(case, block):
+    mu, t, eps = case
+    # small blocks split the scan into many row blocks, down to one row each
+    with mock.patch.object(measures, "_PAIR_BLOCK", block):
+        assert_pair_sums_match_brute_force(mu, t, eps)
+
+
+@pytest.mark.parametrize("mu,t", [
+    (lebesgue_box_measure(3, 1.0, 12), 0.5),  # a k-d tree count was 18% off here
+    (product_measure([cantor_measure(1 / 3, 5)] * 2), 1 / 3),  # and 3.6% here
+])
+def test_pair_scans_match_brute_force_on_fixtures(mu, t):
+    assert_pair_sums_match_brute_force(mu, t, [1 / 6, 1 / 3, 0.5, 1 / 12])
+
+
+@pytest.mark.parametrize("t,eps", [
+    (math.nan, [0.1]), (math.inf, [0.1]), (0.5, [math.nan]), (0.5, [math.inf]),
+    (0.5, []), (0.0, [0.1]), (0.5, [0.1, -0.1]),
+])
+def test_annulus_and_chain_reject_bad_t_and_eps(t, eps):
+    mu = cantor_measure(1 / 3, 3)
+    with pytest.raises(ParameterError):
+        annulus_pair_profile(mu, t, eps)
+    with pytest.raises(ParameterError):
+        chain_triple_profile(mu, t, eps)
 
 
 # ---- serialization ----
