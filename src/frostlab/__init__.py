@@ -49,7 +49,6 @@ from .spectral import (
     decay_fit,
     field_at_points,
     field_l2sq,
-    littlewood_paley,
     load_field_binary,
     measure_fourier,
     mollifier_hat,

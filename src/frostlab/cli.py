@@ -65,6 +65,7 @@ from .operators import (
 )
 from .spectral import (
     SpectralGrid,
+    _plane_csv_rows,
     decay_fit,
     measure_fourier,
     save_field_binary,
@@ -327,12 +328,8 @@ def _field_slice_rows(field):
     if g.dim == 3:
         k = g.n_per_axis // 2
         v, z = v[:, :, k], f"{float(ax[k])!r},"
-    rows = ["x,y,z,re,im" if z else "x,y,re,im"]
-    for i in range(g.n_per_axis):
-        for j in range(g.n_per_axis):
-            rows.append(f"{float(ax[i])!r},{float(ax[j])!r},{z}"
-                        f"{float(v[i, j].real)!r},{float(v[i, j].imag)!r}")
-    return rows
+    header = "x,y,z,re,im" if z else "x,y,re,im"
+    return _plane_csv_rows(header, ax, (v.real, v.imag), z)
 
 
 # ---- subcommand handlers ----

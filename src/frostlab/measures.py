@@ -24,7 +24,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DomainError, FitError, ParameterError, ResourceError
 from .fitting import FitReport, loglog_fit
@@ -416,8 +415,17 @@ class EnergyReport:
     level_values: np.ndarray
 
 
+def _check_pair_cap(mu: DiscreteMeasure) -> None:
+    """The pair scans are quadratic: refuse measures above the atom cap."""
+    if mu.n_atoms > _MAX_ENERGY_ATOMS:
+        raise ResourceError(
+            f"{mu.n_atoms} atoms exceed the pairwise cap {_MAX_ENERGY_ATOMS}")
+
+
 def _pair_blocks(pts: np.ndarray):
     """Upper-triangle row blocks (i0, d): d[a, b] = |x[i0+a] - x[i0+b]| if b > a, else 0."""
+    from scipy.spatial.distance import cdist
+
     rows = max(1, _PAIR_BLOCK // pts.shape[0])
     for i0 in range(0, pts.shape[0], rows):
         d = cdist(pts[i0:i0 + rows], pts[i0:])
@@ -456,9 +464,7 @@ def energy_integral(mu: DiscreteMeasure, s: float,
     """
     if not (0.0 < s <= mu.dim):
         raise ParameterError(f"s must be in (0, {mu.dim}], got {s}")
-    if mu.n_atoms > _MAX_ENERGY_ATOMS:
-        raise ResourceError(
-            f"{mu.n_atoms} atoms exceed the pairwise cap {_MAX_ENERGY_ATOMS}")
+    _check_pair_cap(mu)
 
     uniq = np.unique(mu.atoms, axis=0)
     if uniq.shape[0] < mu.n_atoms:
@@ -502,6 +508,7 @@ def _annulus_inner(mu: DiscreteMeasure, t: float, eps_list) -> np.ndarray:
     eps = np.asarray(eps_list, dtype=float)
     if not (eps.size and 0 < t < math.inf and np.all((0 < eps) & (eps < math.inf))):
         raise ParameterError(f"t and eps must be finite and positive, got {t}, {eps_list}")
+    _check_pair_cap(mu)
     edges = np.concatenate(([np.nextafter(t, -math.inf)], t + np.sort(eps)))
     nb, w = edges.size + 1, mu.weights
     hist = np.zeros((mu.n_atoms, nb))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import EstimationError, ParameterError
 from .fitting import FitReport, log2_fit
@@ -84,6 +83,8 @@ def kernel_matrix_handle(kernel: Callable, mu: DiscreteMeasure,
                          nu: DiscreteMeasure,
                          label: str = "kernel") -> LinearOperatorHandle:
     """Dense radial-kernel operator between two atom sets."""
+    from scipy.spatial.distance import cdist
+
     dist = cdist(nu.atoms, mu.atoms)
     return matrix_operator_handle(kernel(dist), mu, nu, label=label)
 

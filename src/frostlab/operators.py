@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import i0e, j0
 
 from .errors import DomainError, ParameterError
 from .measures import DiscreteMeasure, _sphere_area, _unit_ball_volume
@@ -57,6 +55,8 @@ def sphere_multiplier(dim: int) -> Callable:
     if dim == 3:
         return lambda rho: np.sinc(2.0 * np.asarray(rho, dtype=np.float64))
     if dim == 2:
+        from scipy.special import j0
+
         return lambda rho: j0(2.0 * math.pi * np.asarray(rho, dtype=np.float64))
     raise ParameterError(f"sphere multiplier needs dim 2 or 3, got {dim}")
 
@@ -80,6 +80,8 @@ def sphere_spatial_kernel(dim: int, t: float, eps: float, r) -> np.ndarray:
         lim = amp * np.exp(-(r * r + t * t) / (2.0 * e2)) * (1.0 + x * x / 6.0)
         return np.where(small, lim, full)
     if dim == 2:
+        from scipy.special import i0e
+
         amp = 1.0 / (2.0 * math.pi * e2)
         return amp * np.exp(-((r - t) ** 2) / (2.0 * e2)) * i0e(r * t / e2)
     raise ParameterError(f"sphere kernel needs dim 2 or 3, got {dim}")
@@ -147,6 +149,8 @@ def quadrature_spherical_average(f, mu: DiscreteMeasure, t: float,
 
     O(n_grid * n_atoms); intended for cross-checks on modest grids.
     """
+    from scipy.spatial.distance import cdist
+
     _check_t(t, grid)
     _check_in_box(mu, grid)
     eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)

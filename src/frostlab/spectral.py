@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft
-import scipy.sparse
 
 from .errors import ConfigError, DomainError, FitError, ParameterError, ResourceError
 from .fitting import FitReport, line_fit
@@ -267,6 +265,8 @@ def _spread_plan(u: np.ndarray, n_fine: int, dim: int) -> scipy.sparse.csc_matri
     kernel values, so plan @ c equals _spread_es(c, u, ...) flattened.
     Filled chunk by chunk into preallocated arrays, so no chunk's int64
     rows outlive it."""
+    import scipy.sparse
+
     per_atom = _ES_NS**dim
     n_atoms = u.shape[0]
     data = np.empty(n_atoms * per_atom)
@@ -313,6 +313,23 @@ def _es_transform(k: np.ndarray, n_fine: int) -> np.ndarray:
         np.cos(np.outer(k * (math.pi * _ES_NS / n_fine), _ES_QUAD_Z)) @ _ES_QUAD_W)
 
 
+@lru_cache(maxsize=8)
+def _es_deconvolution(grid: SpectralGrid, half: bool) -> tuple:
+    """Per-axis factors that divide the ES kernel's transform out of the
+    central modes, shaped to broadcast along their axis; without half each
+    also carries the checkerboard sign (-1)^k."""
+    n, d = grid.n_per_axis, grid.dim
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    factors = []
+    for a in range(d):
+        modes = np.arange(n // 2 + 1.0) if half and a == d - 1 else k
+        sign = 1.0 if half else 1.0 - 2.0 * (modes.astype(np.int64) % 2)
+        factor = (sign / _es_transform(modes, 2 * n)).reshape((-1,) + (1,) * (d - a - 1))
+        factor.setflags(write=False)  # one array serves every later caller
+        factors.append(factor)
+    return tuple(factors)
+
+
 def _transform(c: np.ndarray, mu: DiscreteMeasure, grid: SpectralGrid,
                half: bool) -> np.ndarray:
     """Transform of the strengths c at the atoms of mu, in FFT order.
@@ -324,6 +341,8 @@ def _transform(c: np.ndarray, mu: DiscreteMeasure, grid: SpectralGrid,
     Atoms on grid nodes are binned; others are spread with the ES kernel and
     the kernel's transform is divided out.
     """
+    import scipy.fft
+
     n = grid.n_per_axis
     d = grid.dim
     fft = scipy.fft.rfftn if half else scipy.fft.fftn
@@ -356,12 +375,8 @@ def _transform(c: np.ndarray, mu: DiscreteMeasure, grid: SpectralGrid,
     for pick in itertools.product(*([halves] * (d - 1) + [last])):
         dst, src = zip(*pick)
         central[dst] = spec[src]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    for a in range(d):
-        modes = np.arange(h + 1.0) if half and a == d - 1 else k
-        sign = 1.0 if half else 1.0 - 2.0 * (modes.astype(np.int64) % 2)
-        factor = sign / _es_transform(modes, n_fine)
-        central *= factor.reshape((-1,) + (1,) * (d - a - 1))
+    for factor in _es_deconvolution(grid, half):
+        central *= factor
     return central
 
 
@@ -383,6 +398,8 @@ def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> ComplexField:
 
 def to_space(field: ComplexField) -> ComplexField:
     """Inverse transform: f(x_j) = sum_k F(xi_k) exp(2 pi i x_j . xi_k) dxi^d."""
+    import scipy.fft
+
     if field.rep != "freq":
         raise ParameterError("to_space expects a frequency-side field")
     g = field.grid
@@ -393,6 +410,8 @@ def to_space(field: ComplexField) -> ComplexField:
 
 def to_freq(field: ComplexField) -> ComplexField:
     """Forward transform of a space-side field by the same convention."""
+    import scipy.fft
+
     if field.rep != "space":
         raise ParameterError("to_freq expects a space-side field")
     g = field.grid
@@ -401,9 +420,13 @@ def to_freq(field: ComplexField) -> ComplexField:
     return ComplexField(g, vals, "freq")
 
 
+# one grid only: the keys take 4 bytes per half-lattice point (34 MB at
+# 256^3), and what reuses them is a loop over one grid, such as opnorm's
+# witnesses
+@lru_cache(maxsize=1)
 def _radius_keys(grid: SpectralGrid):
     """Integer keys of |xi| on the rfftn half lattice, and the radius table
-    they index.
+    they index, both read-only.
 
     For d >= 2 the key is K2 = |k|^2 in integer modes, which covers most of
     0..d (n/2)^2.  In d = 1 it is |k|, since k^2 would use n/2 + 1 of its
@@ -412,12 +435,16 @@ def _radius_keys(grid: SpectralGrid):
     n, d = grid.n_per_axis, grid.dim
     last = np.arange(n // 2 + 1, dtype=np.int32)
     if d == 1:
-        return last, last * grid.freq_step
-    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int32)
-    key = last**2
-    for a in range(d - 1):
-        key = (k**2).reshape((n,) + (1,) * (d - 1 - a)) + key
-    return key, np.sqrt(np.arange(int(key.max()) + 1)) * grid.freq_step
+        key, radii = last, last * grid.freq_step
+    else:
+        k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int32)
+        key = last**2
+        for a in range(d - 1):
+            key = (k**2).reshape((n,) + (1,) * (d - 1 - a)) + key
+        radii = np.sqrt(np.arange(int(key.max()) + 1)) * grid.freq_step
+    key.setflags(write=False)  # one pair serves every later caller
+    radii.setflags(write=False)
+    return key, radii
 
 
 @lru_cache(maxsize=8)
@@ -498,6 +525,8 @@ class Spectrum:
     def apply(self, profile) -> ComplexField:
         """Space-side field of the transform times profile(|xi|); its
         imaginary part is exactly 0 for real f."""
+        import scipy.fft
+
         g = self.grid
         shape = (g.n_per_axis,) * g.dim
         table = self._table(profile) * (g.n_per_axis * g.freq_step) ** g.dim
@@ -596,19 +625,6 @@ def lowpass_phi_hat(rho):
     """
     rho = np.asarray(rho, dtype=float)
     return np.exp(-36.0 * rho**2)
-
-
-def littlewood_paley(field: ComplexField, j: int) -> ComplexField:
-    """Project onto the dyadic annulus |xi| ~ 2^j (j >= 1), or the low-pass (j=0)."""
-    if field.rep != "freq":
-        raise ParameterError("littlewood_paley expects a frequency-side field")
-    if j < 0:
-        raise ParameterError(f"j must be nonnegative, got {j}")
-    if j >= 1:
-        _check_annulus(field.grid, j)
-    radii = field.grid.freq_radii()
-    mult = beta0(radii) if j == 0 else annulus_beta(radii * 2.0**-j)
-    return ComplexField(field.grid, field.values * mult, "freq")
 
 
 def partition_residual(grid: SpectralGrid) -> float:
@@ -722,15 +738,17 @@ def load_field_binary(path) -> ComplexField:
     return ComplexField(grid, values.copy(), "freq" if repflag == 0 else "space")
 
 
-def field_csv_rows(field: ComplexField, limit: int = 2**20):
-    """Yield (coords..., re, im) rows; refuses fields above the row cap."""
-    g = field.grid
-    if g.n_per_axis**g.dim > limit:
-        raise ResourceError(f"field has more than {limit} values; export binary instead")
-    axes = [g.axis_freqs() if field.rep == "freq" else g.space_axis()
-            for _ in range(g.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    vals = field.values.ravel()
-    for i in range(vals.size):
-        yield [float(a[i]) for a in flat] + [float(vals[i].real), float(vals[i].imag)]
+def _plane_csv_rows(header: str, axis: np.ndarray, planes, z: str = "") -> list[str]:
+    """CSV lines of n x n planes on the points (axis[i], axis[j]): the header,
+    then "x,y,<z>v1,v2,..." for each (i, j), one value of each plane in
+    turn; z is empty or a fixed column with its trailing comma.  Numbers
+    are repr of the Python float, as float() of each numpy value would
+    give, but tolist() converts them in one pass and each axis value is
+    formatted once."""
+    ax = [repr(x) for x in axis.tolist()]
+    cols = [p.tolist() for p in planes]
+    rows = [header]
+    for i, x in enumerate(ax):
+        for y, *vals in zip(ax, *(c[i] for c in cols)):
+            rows.append(f"{x},{y},{z}" + ",".join(map(repr, vals)))
+    return rows

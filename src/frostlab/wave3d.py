@@ -31,6 +31,7 @@ from .spectral import (
     ComplexField,
     SpectralGrid,
     Spectrum,
+    _plane_csv_rows,
     mollifier_hat,
     save_field_binary,
 )
@@ -77,12 +78,7 @@ class WaveField:
         if not (axis[0] <= z <= -axis[0]):
             raise DomainError(f"slice height {z} outside the box")
         k = int(np.argmin(np.abs(axis - z)))
-        rows = ["x,y,u"]
-        plane = self.values[:, :, k]
-        for i, x in enumerate(axis):
-            for j, y in enumerate(axis):
-                rows.append(f"{float(x)!r},{float(y)!r},{float(plane[i, j])!r}")
-        return rows
+        return _plane_csv_rows("x,y,u", axis, (self.values[:, :, k],))
 
 
 def wave_solution(f, mu: DiscreteMeasure, t: float, grid: SpectralGrid,

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frostlab
 from frostlab import spectral
 from frostlab.cli import main
 from frostlab.measures import cantor_measure, load_measure_json, product_measure
@@ -404,6 +407,8 @@ def test_threads_and_plan_cache_leave_the_bits_unchanged(tmp_path,
     assert spectral._lattice_indices(mu, grid) is None
     f = np.cos(np.arange(mu.n_atoms))
     monkeypatch.setattr(spectral, "_plan_cache", None)
+    spectral._radius_keys.cache_clear()
+    spectral._es_deconvolution.cache_clear()
     cold = spherical_average(f, mu, 0.5, grid).values
     assert spectral._plan_cache is not None
     warm = spherical_average(f, mu, 0.5, grid).values
@@ -417,3 +422,46 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "case i" in proc.stdout
+
+
+# ---- import hygiene ----
+
+# scipy submodules that cost a fresh process most of its start-up; the
+# library imports each inside the functions that call it
+_HEAVY_SCIPY = ("scipy.fft", "scipy.sparse", "scipy.spatial", "scipy.special",
+                "scipy.linalg")
+
+
+def _heavy_scipy_after(code: str) -> set:
+    """The _HEAVY_SCIPY modules loaded once code has run in a fresh process."""
+    probe = (f"{code}\nimport sys\n"
+             f"print(' '.join(m for m in {_HEAVY_SCIPY!r} if m in sys.modules))")
+    path = [str(Path(frostlab.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())  # the probe's line comes last
+
+
+def test_import_loads_no_scipy_submodule():
+    assert _heavy_scipy_after("import frostlab") == set()
+
+
+def test_exponents_and_counterexample_load_no_scipy_submodule(tmp_path):
+    # counterexample runs its default kind, stein
+    code = ("from frostlab.cli import main\n"
+            f"assert main(['exponents', '--out', {str(tmp_path / 'e')!r}]) == 0\n"
+            f"assert main(['counterexample', '--out', {str(tmp_path / 'c')!r}]) == 0")
+    assert _heavy_scipy_after(code) == set()
+
+
+def test_avg_loads_fft_but_not_spatial(tmp_path):
+    cfg = _cfg(tmp_path, "c.json", {"experiment": "avg", "measure": _SQUARE,
+                                    "grid": _GRID64})
+    code = ("from frostlab.cli import main\n"
+            f"assert main(['avg', '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'a')!r}]) == 0")
+    loaded = _heavy_scipy_after(code)
+    assert "scipy.fft" in loaded
+    assert not loaded & {"scipy.spatial", "scipy.linalg"}

@@ -330,6 +330,20 @@ def test_annulus_and_chain_reject_bad_t_and_eps(t, eps):
         chain_triple_profile(mu, t, eps)
 
 
+def test_pair_scans_refuse_more_atoms_than_the_cap(monkeypatch):
+    def no_scan(pts):
+        raise AssertionError("the atom cap must be checked before any pair scan")
+
+    monkeypatch.setattr(measures, "_pair_blocks", no_scan)
+    mu = random_ball_measure(1, measures._MAX_ENERGY_ATOMS + 1, seed=0)
+    with pytest.raises(ResourceError):
+        annulus_pair_profile(mu, 0.5, [0.1])
+    with pytest.raises(ResourceError):
+        chain_triple_profile(mu, 0.5, [0.1])
+    with pytest.raises(ResourceError):
+        energy_integral(mu, 0.5)
+
+
 # ---- serialization ----
 
 def _assert_measures_equal(a: DiscreteMeasure, b: DiscreteMeasure):

@@ -31,9 +31,7 @@ from frostlab.spectral import (
     decay_fit,
     direct_fourier,
     field_at_points,
-    field_csv_rows,
     field_l2sq,
-    littlewood_paley,
     load_field_binary,
     lowpass_chi,
     measure_fourier,
@@ -296,6 +294,26 @@ def test_plan_cache_misses_when_the_positions_move(monkeypatch, change):
     assert np.array_equal(warm, cold)
 
 
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+def test_per_grid_tables_are_built_once_and_read_only(d, n):
+    grid = SpectralGrid(d, n, 2.0)
+    mu = offlattice_measure(d, d, 50)
+    f = np.cos(np.arange(mu.n_atoms))
+    spectral._radius_keys.cache_clear()
+    spectral._es_deconvolution.cache_clear()
+    cold = [measure_fourier(f, mu, grid).values,
+            spectral.Spectrum(f, mu, grid).apply(lowpass_chi).values]
+    tables = [spectral._radius_keys(grid), spectral._es_deconvolution(grid, True),
+              spectral._es_deconvolution(grid, False)]
+    warm = [measure_fourier(f, mu, grid).values,
+            spectral.Spectrum(f, mu, grid).apply(lowpass_chi).values]
+    assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
+    assert spectral._radius_keys(grid) is tables[0]
+    assert spectral._es_deconvolution(grid, True) is tables[1]
+    # every caller shares these arrays, so none may write to them
+    assert not any(a.flags.writeable for table in tables for a in table)
+
+
 @st.composite
 def spectrum_cases(draw):
     """A small grid in d = 1, 2, 3, up to 24 atoms either on grid nodes
@@ -480,41 +498,6 @@ def test_partition_residual_machine_zero():
     assert partition_residual(SpectralGrid(1, 4096, 2.0)) <= 1e-12
 
 
-def test_littlewood_paley_reconstruction_on_band_limited_field():
-    g = GRID2
-    radii = g.freq_radii()
-    # smooth data supported where admissible annuli (alias guard) can cover
-    values = np.exp(-0.1 * radii**2) * (1.0 + 0.3 * np.cos(radii))
-    field = ComplexField(g, values.astype(np.complex128), "freq")
-    j_max = int(math.floor(math.log2(g.freq_max / 2.0)))
-    total = littlewood_paley(field, 0).values.copy()
-    for j in range(1, j_max + 1):
-        total += littlewood_paley(field, j).values
-    covered = radii <= 1.5 * 2.0**j_max
-    assert np.max(np.abs((total - values)[covered])) <= 1e-12
-
-
-def test_littlewood_paley_identity_on_plateau():
-    g = GRID2
-    radii = g.freq_radii()
-    j = 4
-    support = (radii >= 2.0**j) & (radii <= 1.5 * 2.0**j)
-    values = np.where(support, 1.0 + radii, 0.0).astype(np.complex128)
-    field = ComplexField(g, values, "freq")
-    out = littlewood_paley(field, j)
-    np.testing.assert_allclose(out.values, values, atol=1e-14)
-
-
-def test_littlewood_paley_squares_and_alias_guard():
-    field = measure_fourier(None, CANTOR4SQ, GRID2)
-    j = 3
-    twice = littlewood_paley(littlewood_paley(field, j), j)
-    weight = annulus_beta(GRID2.freq_radii() * 2.0**-j) ** 2
-    np.testing.assert_allclose(twice.values, field.values * weight, atol=1e-14)
-    with pytest.raises(DomainError):
-        littlewood_paley(field, 6)  # 2^6 * 2 > freq_max = 32
-
-
 # ---- scaling fits ----
 
 def test_decay_fit_sphere3():
@@ -611,6 +594,22 @@ def test_annulus_growth_fit_accepts_a_generator():
 
 # ---- serialization ----
 
+def test_plane_csv_rows_match_per_cell_float_repr():
+    rng = np.random.default_rng(3)
+    axis = np.linspace(-2.0, 2.0, 7)
+    planes = [rng.normal(size=(7, 7)), rng.normal(size=(7, 7)) * 1e-300]
+    planes[0][0, :4] = [-0.0, 5e-324, 1 / 3, 2.0**60]
+    for z in ("", f"{float(axis[3])!r},"):
+        want = ["h"]
+        for i in range(7):
+            for j in range(7):
+                want.append(f"{float(axis[i])!r},{float(axis[j])!r},{z}"
+                            + ",".join(repr(float(p[i, j])) for p in planes))
+        assert spectral._plane_csv_rows("h", axis, planes, z) == want
+        assert spectral._plane_csv_rows("h", axis, planes[:1], z) == [
+            row.rsplit(",", 1)[0] if k else row for k, row in enumerate(want)]
+
+
 def test_field_binary_round_trip(tmp_path):
     field = measure_fourier(None, CANTOR4SQ, GRID2)
     path = tmp_path / "f.ffld"
@@ -638,13 +637,3 @@ def test_field_binary_rejects_truncated_file(tmp_path, keep):
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(ParameterError, match="truncated"):
         load_field_binary(path)
-
-
-def test_field_csv_rows():
-    grid = SpectralGrid(1, 16, 2.0)
-    field = measure_fourier(None, dirac(1), grid)
-    rows = list(field_csv_rows(field))
-    assert len(rows) == 16
-    assert rows[0] == [0.0, 1.0, 0.0]  # DC row: freq, re, im
-    with pytest.raises(ResourceError):
-        list(field_csv_rows(measure_fourier(None, dirac(2), GRID2), limit=100))
