@@ -133,8 +133,7 @@ def spherical_average(f, mu: DiscreteMeasure, t: float, grid: SpectralGrid,
     T_lambda with lambda the probability measure on the radius-t sphere:
     transform of the weighted measure, damped by the sphere multiplier at
     dilation t and a Gaussian mollifier, inverted to the space side.  The
-    real part carries the average; the imaginary part is exactly 0 for real
-    inputs.
+    values are float64 for real f and complex128 for complex f.
     """
     _check_t(t, grid)
     base = sphere_multiplier(grid.dim)
@@ -178,7 +177,8 @@ def maximal_function(f, mu: DiscreteMeasure, t_grid, grid: SpectralGrid,
     """Pointwise max of |spherical average| over a sorted t-grid inside [1,2].
 
     One measure transform is shared across all radii; each radius costs one
-    inverse transform.  Refining the t-grid can only increase the output.
+    inverse transform.  Refining the t-grid can only increase the output,
+    a real (float64) field.
     """
     t_arr = np.asarray(t_grid, dtype=np.float64)
     if t_arr.ndim != 1 or t_arr.size == 0:
@@ -196,8 +196,8 @@ def maximal_function(f, mu: DiscreteMeasure, t_grid, grid: SpectralGrid,
     for t in t_arr:
         mag = np.abs(spec.apply(
             lambda rho: base(t * rho) * mollifier_hat(eps * rho)).values)
-        best = mag if best is None else np.maximum(best, mag)
-    return ComplexField(grid, best.astype(np.complex128), rep="space")
+        best = mag if best is None else np.maximum(best, mag, out=best)
+    return ComplexField(grid, best, rep="space")
 
 
 # ---- dyadic low-pass and T_lambda convolution ----

@@ -146,7 +146,12 @@ class SpectralGrid:
 
 @dataclass
 class ComplexField:
-    """Complex values on a spectral grid, in space or frequency representation."""
+    """Values on a spectral grid, in space or frequency representation.
+
+    Frequency-side values are complex128.  Space-side values are float64
+    when the field is real (Spectrum.apply and the operators on real f,
+    maximal_function always) and complex128 otherwise; readers that want
+    both parts take values.real and values.imag, which is 0 for float64."""
 
     grid: SpectralGrid
     values: np.ndarray
@@ -523,18 +528,36 @@ class Spectrum:
         return self._lattice_hist(sum(h.real**2 + h.imag**2 for h in self._halves))
 
     def apply(self, profile) -> ComplexField:
-        """Space-side field of the transform times profile(|xi|); its
-        imaginary part is exactly 0 for real f."""
+        """Space-side field of the transform times profile(|xi|): float64
+        values for real f, complex128 built from the two real parts for
+        complex f.
+
+        The inverse runs in the stages irfftn runs: an unnormalised complex
+        inverse over axes 0..d-2, in place on the product, a real inverse
+        along the last axis, then the one factor 1/n^d.  So each part is
+        irfftn's result bit for bit, subnormals included, without irfftn's
+        complex temporary: the peak is the product plus the real output."""
         import scipy.fft
 
         g = self.grid
-        shape = (g.n_per_axis,) * g.dim
-        table = self._table(profile) * (g.n_per_axis * g.freq_step) ** g.dim
-        out = np.zeros(shape, dtype=np.complex128)
-        for part, h in zip((out.real, out.imag), self._halves):
-            part[...] = scipy.fft.irfftn(h * table[self._keys], s=shape,
-                                         workers=_fft_workers, overwrite_x=True)
-        return ComplexField(g, out, "space")
+        n, d = g.n_per_axis, g.dim
+        table = self._table(profile) * (n * g.freq_step) ** d
+        parts = []
+        for h in self._halves:
+            x = h * table[self._keys]
+            if d > 1:
+                x = scipy.fft.ifftn(x, axes=tuple(range(d - 1)), norm="forward",
+                                    workers=_fft_workers, overwrite_x=True)
+            part = scipy.fft.irfft(x, n=n, norm="forward", workers=_fft_workers,
+                                   overwrite_x=True)
+            del x  # free the half lattice before the next product
+            part *= 1.0 / n**d
+            parts.append(part)
+        if len(parts) == 1:
+            return ComplexField(g, parts[0], "space")
+        values = np.empty(parts[0].shape, dtype=np.complex128)
+        values.real, values.imag = parts
+        return ComplexField(g, values, "space")
 
     def energy(self, profile) -> float:
         """Riemann sum of |transform|^2 * profile(|xi|) over the frequency
@@ -564,7 +587,8 @@ def field_at_points(field: ComplexField, points) -> np.ndarray:
     lo = np.floor(x).astype(np.int64)
     lo = np.minimum(lo, g.n_per_axis - 2)
     frac = x - lo
-    out = np.zeros(pts.shape[0], dtype=np.complex128)
+    # a real field samples to real values
+    out = np.zeros(pts.shape[0], dtype=np.result_type(field.values, np.float64))
     for corner in range(2**g.dim):
         bits = [(corner >> a) & 1 for a in range(g.dim)]
         weight = np.ones(pts.shape[0])
@@ -713,16 +737,27 @@ def _check_annulus(grid: SpectralGrid, j: int) -> None:
 
 # ---- serialization ----
 
+# values interleaved per write in save_field_binary: 1 MB of "<f8" pairs
+_WRITE_CHUNK = 2**16
+
+
 def save_field_binary(field: ComplexField, path) -> None:
+    """Header, then (re, im) of each value as little-endian float64 pairs in
+    C order; a real field writes im = 0.0.  The pairs pass through one
+    chunk-sized buffer, so no copy of the whole field is made."""
+    flat = field.values.reshape(-1)
     with open(path, "wb") as fh:
         fh.write(_FIELD_MAGIC)
         fh.write(struct.pack("<IQdB", field.grid.dim, field.grid.n_per_axis,
                              field.grid.box_half_width,
                              0 if field.rep == "freq" else 1))
-        inter = np.empty(field.values.size * 2)
-        inter[0::2] = field.values.real.ravel()
-        inter[1::2] = field.values.imag.ravel()
-        fh.write(inter.astype("<f8").tobytes())
+        buf = np.empty((min(flat.size, _WRITE_CHUNK), 2), dtype="<f8")
+        for i0 in range(0, flat.size, _WRITE_CHUNK):
+            part = flat[i0:i0 + _WRITE_CHUNK]
+            pairs = buf[:part.size]
+            pairs[:, 0] = part.real
+            pairs[:, 1] = part.imag
+            fh.write(pairs)
 
 
 def load_field_binary(path) -> ComplexField:
@@ -732,10 +767,10 @@ def load_field_binary(path) -> ComplexField:
             raise ParameterError(f"{path}: bad magic {magic!r}")
         dim, n, L, repflag = struct.unpack("<IQdB", _read_exact(fh, 21, path))
         grid = SpectralGrid(dim=dim, n_per_axis=n, box_half_width=L)
-        count = 2 * n**dim
-        inter = np.frombuffer(_read_exact(fh, 8 * count, path), dtype="<f8")
-    values = (inter[0::2] + 1j * inter[1::2]).reshape((n,) * dim)
-    return ComplexField(grid, values.copy(), "freq" if repflag == 0 else "space")
+        pairs = np.frombuffer(_read_exact(fh, 16 * n**dim, path), dtype="<c16")
+    # one writable native copy of the read-only buffer
+    values = pairs.astype(np.complex128).reshape((n,) * dim)
+    return ComplexField(grid, values, "freq" if repflag == 0 else "space")
 
 
 def _plane_csv_rows(header: str, axis: np.ndarray, planes, z: str = "") -> list[str]:

@@ -65,12 +65,8 @@ class WaveField:
         if not np.all(np.isfinite(self.values)):
             raise ParameterError("wave field contains non-finite values")
 
-    def to_complex_field(self) -> ComplexField:
-        return ComplexField(self.grid, self.values.astype(np.complex128),
-                            rep="space")
-
     def save_binary(self, path) -> None:
-        save_field_binary(self.to_complex_field(), path)
+        save_field_binary(ComplexField(self.grid, self.values, "space"), path)
 
     def slice_csv_rows(self, z: float):
         """Rows x,y,u of the constant-z plane nearest the requested height."""
@@ -87,7 +83,11 @@ def wave_solution(f, mu: DiscreteMeasure, t: float, grid: SpectralGrid,
     if grid.dim != 3:
         raise ParameterError(f"wave evolution needs a d=3 grid, got d={grid.dim}")
     avg = spherical_average(f, mu, t, grid, mollify_eps=mollify_eps)
-    return WaveField(grid, float(t), float(t) * avg.values.real)
+    # real f gives a fresh float64 field, scaled in place; complex f keeps
+    # its real part, copied once
+    u = np.ascontiguousarray(avg.values.real)
+    u *= float(t)
+    return WaveField(grid, float(t), u)
 
 
 # ---- small-time pointwise limit ----

@@ -381,6 +381,9 @@ THREAD_RUNS = [
     ("opnorm", {"measure": _SQUARE, "grid": _GRID64, "t": 0.5, "p": 3.0,
                 "nu": {"kind": "lebesgue-box", "d": 2, "half_width": 1.0,
                        "n_cells": 8}, "family": "bumps"}),
+    # the in-place complex inverse over two axes of a 3-d field
+    ("wave", {"mode": "solution", "measure": _BOX3, "grid": _GRID32_3D,
+              "t": 0.4}),
 ]
 
 

@@ -255,6 +255,7 @@ def test_maximal_singleton_equals_average_modulus():
     g = SpectralGrid(2, 256, 4.0)
     single = maximal_function(None, CANTOR45SQ, [1.3], g)
     avg = spherical_average(None, CANTOR45SQ, 1.3, g)
+    assert single.values.dtype == avg.values.dtype == np.float64
     assert np.abs(single.values - np.abs(avg.values)).max() == 0.0
 
 

@@ -2,9 +2,11 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -360,10 +362,49 @@ def test_spectrum_apply_matches_full_lattice_route(case, t):
     got = spectral.Spectrum(f, mu, grid).apply(w)
     full = measure_fourier(f, mu, grid)
     want = to_space(ComplexField(grid, full.values * w(grid.freq_radii()), "freq"))
-    assert got.rep == "space" and got.values.dtype == np.complex128
+    assert got.rep == "space"
+    assert got.values.dtype == (np.float64 if np.isrealobj(f) else np.complex128)
     assert np.max(np.abs(got.values - want.values)) <= 1e-12 * space_bound(f, mu, grid)
-    if np.isrealobj(f):
-        assert not np.any(got.values.imag)
+
+
+@PROPERTY
+@given(spectrum_cases(), st.floats(0.1, 1.0), st.sampled_from([1.0, 1e-300, 1e-310]))
+def test_spectrum_apply_is_irfftn_bit_for_bit(case, t, scale):
+    # the staged inverse runs irfftn's 1-d transforms in irfftn's order and
+    # scales once at the end, so every bit agrees; scaling between the
+    # stages would differ once values go subnormal, which the small scales
+    # reach
+    grid, mu, f = case
+    spec = spectral.Spectrum(scale * f, mu, grid)
+    w = damped_cosine(grid, t)
+    got = spec.apply(w).values
+    shape = (grid.n_per_axis,) * grid.dim
+    table = spec._table(w) * (grid.n_per_axis * grid.freq_step) ** grid.dim
+    want = [scipy.fft.irfftn(h * table[spec._keys], s=shape) for h in spec._halves]
+    parts = [got] if np.isrealobj(f) else [got.real, got.imag]
+    assert len(parts) == len(want)
+    for part, ref in zip(parts, want):
+        assert np.array_equal(part, ref)
+
+
+def test_spectrum_apply_peak_memory_is_twice_the_field():
+    # the product plus the real output; irfftn's complex temporary and a
+    # complex copy of the result took 4x
+    n = 64
+    grid = SpectralGrid(3, n, 2.0)
+    mu = lebesgue_box_measure(3, 1.0, 16)
+    assert spectral._lattice_indices(mu, grid) is not None
+    spec = spectral.Spectrum(None, mu, grid)
+    w = damped_cosine(grid, 0.5)
+    spec.apply(w)  # build the per-grid tables outside the measurement
+    tracemalloc.start()
+    try:
+        field = spec.apply(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.values.dtype == np.float64
+    assert peak <= 2.5 * n**3 * 8
 
 
 @PROPERTY
@@ -473,6 +514,15 @@ def test_field_at_points_matches_nodes():
     mid = np.array([[0.5 * (ax[10] + ax[11]), ax[20]]])
     expect = 0.5 * (field.values[10, 20] + field.values[11, 20])
     np.testing.assert_allclose(field_at_points(field, mid)[0], expect, rtol=1e-12)
+
+
+def test_field_at_points_keeps_a_real_field_real():
+    field = spectral.Spectrum(None, CANTOR4SQ, GRID2).apply(mollifier_hat)
+    pts = np.random.default_rng(3).uniform(-1.9, 1.9, size=(50, 2))
+    got = field_at_points(field, pts)
+    assert got.dtype == np.float64
+    as_complex = ComplexField(GRID2, field.values.astype(np.complex128), "space")
+    assert np.array_equal(got, field_at_points(as_complex, pts).real)
 
 
 # ---- cutoffs ----
@@ -621,6 +671,27 @@ def test_field_binary_round_trip(tmp_path):
     spatial = to_space(field)
     save_field_binary(spatial, path)
     assert load_field_binary(path).rep == "space"
+
+
+@pytest.mark.parametrize("d, n", [(1, 8), (2, 512), (3, 64)])
+def test_field_binary_real_values_write_a_zero_imaginary_part(tmp_path, d, n):
+    # one byte layout for a real field and its complex128 copy, across
+    # several write chunks at 512^2 and 64^3
+    grid = SpectralGrid(d, n, 2.0)
+    real = np.cos(np.arange(n**d, dtype=np.float64)).reshape((n,) * d)
+    real.flat[:3] = (-0.0, 5e-324, -1e300)
+    paths = [tmp_path / "real.ffld", tmp_path / "complex.ffld"]
+    save_field_binary(ComplexField(grid, real, "space"), paths[0])
+    save_field_binary(ComplexField(grid, real.astype(np.complex128), "space"), paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[0].stat().st_size == 8 + 21 + 16 * n**d
+    for path in paths:
+        loaded = load_field_binary(path)
+        assert loaded.rep == "space" and loaded.values.dtype == np.complex128
+        assert loaded.values.flags.writeable
+        assert np.array_equal(loaded.values.real, real)
+        assert np.array_equal(np.signbit(loaded.values.real), np.signbit(real))
+        assert not np.any(loaded.values.imag) and not np.any(np.signbit(loaded.values.imag))
 
 
 def test_field_binary_bad_magic(tmp_path):

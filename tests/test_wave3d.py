@@ -10,7 +10,7 @@ from frostlab.measures import (
     product_measure,
 )
 from frostlab.norms import grid_operator_handle, lp_norm, opnorm_lower
-from frostlab.spectral import SpectralGrid, load_field_binary
+from frostlab.spectral import ComplexField, SpectralGrid, load_field_binary
 from frostlab.wave3d import (
     WaveField,
     blowup_probe,
@@ -81,6 +81,10 @@ def test_wave_solution_is_linear(grid32, mu_small):
     uc = wave_solution(2.0 * f - 0.5 * g, mu_small, 0.5, grid32).values
     scale = np.max(np.abs(uc))
     assert np.max(np.abs(uc - (2.0 * ua - 0.5 * ub))) <= 1e-12 * scale
+    # complex data: the real part, scaled by t, as for real data
+    uz = wave_solution(f + 1j * g, mu_small, 0.5, grid32).values
+    assert ua.dtype == uz.dtype == np.float64 and uz.flags.c_contiguous
+    assert np.array_equal(uz, ua)
 
 
 def test_wave_solution_validation(grid32, mu_small):
@@ -250,7 +254,8 @@ def test_energy_ratio_consistent_with_certified_lower_bound(grid32, mu_small):
     c = cantor_measure(0.4, 3)
     nu = product_measure([c, c, c])
     grid = SpectralGrid(dim=3, n_per_axis=64, box_half_width=2.0)
-    op = lambda vals: wave_solution(vals, mu_small, 1.0, grid).to_complex_field()
+    op = lambda vals: ComplexField(grid, wave_solution(vals, mu_small, 1.0, grid).values,
+                                   "space")
     handle = grid_operator_handle(op, nu, label="wave-t1")
     est = opnorm_lower(handle, mu_small, nu, 2.0, "bumps", seed=7)
     assert 0.05 < est.value < 0.09
