@@ -30,15 +30,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Params:
-    """Common parameter bundle: ambient dimension, two Frostman exponents,
-    Lebesgue exponent, and the optional kernel/blowup exponents."""
+    """Common parameter bundle: ambient dimension, two Frostman exponents
+    and the Lebesgue exponent."""
 
     d: int
     s_mu: float
     s_nu: float
     p: float
-    alpha: float | None = None
-    p_f: float | None = None
 
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 2:

@@ -39,14 +39,14 @@ class FitReport:
         return ["slope", "intercept", "residual", "x_lo", "x_hi", "n_points"]
 
 
-def line_fit(x, y, min_points: int = 3) -> FitReport:
-    """Plain least-squares line through (x, y)."""
+def line_fit(x, y) -> FitReport:
+    """Plain least-squares line through at least three points (x, y)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise FitError("x and y must be 1-d arrays of equal length")
-    if x.size < min_points:
-        raise FitError(f"need at least {min_points} points, got {x.size}")
+    if x.size < 3:
+        raise FitError(f"need at least 3 points, got {x.size}")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))
@@ -54,7 +54,7 @@ def line_fit(x, y, min_points: int = 3) -> FitReport:
                      float(x.min()), float(x.max()), int(x.size))
 
 
-def loglog_fit(x, y, min_points: int = 3) -> FitReport:
+def loglog_fit(x, y) -> FitReport:
     """Fit log y against log x; slope is the power-law exponent.
 
     Nonpositive samples are rejected rather than dropped: a scaling fit on
@@ -64,10 +64,10 @@ def loglog_fit(x, y, min_points: int = 3) -> FitReport:
     y = np.asarray(y, dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
         raise FitError("loglog_fit requires strictly positive samples")
-    return line_fit(np.log(x), np.log(y), min_points=min_points)
+    return line_fit(np.log(x), np.log(y))
 
 
-def log2_fit(j, y, min_points: int = 3) -> FitReport:
+def log2_fit(j, y) -> FitReport:
     """Fit log2 y against the (already linear) index j.
 
     Used for dyadic growth rates: slope is the per-level exponent.
@@ -76,4 +76,4 @@ def log2_fit(j, y, min_points: int = 3) -> FitReport:
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise FitError("log2_fit requires strictly positive samples")
-    return line_fit(j, np.log2(y), min_points=min_points)
+    return line_fit(j, np.log2(y))

@@ -449,13 +449,12 @@ def _coarsen(mu: DiscreteMeasure, m: int):
     return centers, w
 
 
-def energy_integral(mu: DiscreteMeasure, s: float,
-                    growth_factor: float = 1.01) -> EnergyReport:
+def energy_integral(mu: DiscreteMeasure, s: float) -> EnergyReport:
     """s-energy of the measure: sum over i != j of w_i w_j |x_i - x_j|^-s.
 
     Divergence is probed by rebinning the atoms at dyadic pitches 2^-m and
     regressing the log of the per-level energy INCREMENTS against m: growing
-    increments (fitted per-level factor above growth_factor) flag refinement
+    increments (fitted per-level factor above 1.01) flag refinement
     divergence, shrinking increments mean the binned energies converge.
     Value-level ratios would misfire near the boundary, where convergence is
     polynomially slow; single increment pairs are too noisy when the binning
@@ -497,7 +496,7 @@ def energy_integral(mu: DiscreteMeasure, s: float,
     increments = level_values[2:] - level_values[:-2]
     if increments.size >= 3 and np.all(increments > 0):
         slope = np.polyfit(levels[2:].astype(float), np.log2(increments), 1)[0]
-        divergent = bool(slope > math.log2(growth_factor))
+        divergent = bool(slope > math.log2(1.01))
     return EnergyReport(value, bool(divergent), levels, level_values)
 
 

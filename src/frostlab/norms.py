@@ -61,12 +61,10 @@ class LinearOperatorHandle:
 
     apply: Callable
     adjoint: Callable | None = None
-    label: str = ""
 
 
 def matrix_operator_handle(matrix: np.ndarray, mu: DiscreteMeasure,
-                           nu: DiscreteMeasure,
-                           label: str = "matrix") -> LinearOperatorHandle:
+                           nu: DiscreteMeasure) -> LinearOperatorHandle:
     """Handle for Tf(y_j) = sum_i M[j,i] w_i f(x_i); adjoint is exact."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (nu.n_atoms, mu.n_atoms):
@@ -75,22 +73,19 @@ def matrix_operator_handle(matrix: np.ndarray, mu: DiscreteMeasure,
             f"to {nu.n_atoms} nu atoms")
     return LinearOperatorHandle(
         apply=lambda f: matrix @ (mu.weights * np.asarray(f)),
-        adjoint=lambda g: matrix.T @ (nu.weights * np.asarray(g)),
-        label=label)
+        adjoint=lambda g: matrix.T @ (nu.weights * np.asarray(g)))
 
 
 def kernel_matrix_handle(kernel: Callable, mu: DiscreteMeasure,
-                         nu: DiscreteMeasure,
-                         label: str = "kernel") -> LinearOperatorHandle:
+                         nu: DiscreteMeasure) -> LinearOperatorHandle:
     """Dense radial-kernel operator between two atom sets."""
     from scipy.spatial.distance import cdist
 
     dist = cdist(nu.atoms, mu.atoms)
-    return matrix_operator_handle(kernel(dist), mu, nu, label=label)
+    return matrix_operator_handle(kernel(dist), mu, nu)
 
 
-def grid_operator_handle(op: Callable, nu: DiscreteMeasure,
-                         label: str = "grid") -> LinearOperatorHandle:
+def grid_operator_handle(op: Callable, nu: DiscreteMeasure) -> LinearOperatorHandle:
     """Wrap a grid-field-returning callable, sampling its real part at nu atoms.
 
     No adjoint: grid operators feed the witness families, not the power
@@ -99,7 +94,7 @@ def grid_operator_handle(op: Callable, nu: DiscreteMeasure,
     def apply(f):
         return field_at_points(op(f), nu.atoms).real
 
-    return LinearOperatorHandle(apply=apply, adjoint=None, label=label)
+    return LinearOperatorHandle(apply=apply, adjoint=None)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,9 @@ def default_mollify_eps(grid: SpectralGrid) -> float:
 
 # ---- spherical averages ----
 
+_QUADRATURE_CHUNK = 32  # atoms per cdist block in the quadrature oracle
+
+
 def _check_t(t: float, grid: SpectralGrid) -> None:
     if t <= 0:
         raise ParameterError(f"sphere radius must be positive, got {t}")
@@ -126,8 +129,8 @@ def _check_t(t: float, grid: SpectralGrid) -> None:
             f"{grid.box_half_width / 2.0}; wrap-around would contaminate the average")
 
 
-def spherical_average(f, mu: DiscreteMeasure, t: float, grid: SpectralGrid,
-                      mollify_eps: float | None = None) -> ComplexField:
+def spherical_average(f, mu: DiscreteMeasure, t: float,
+                      grid: SpectralGrid) -> ComplexField:
     """Average of f d(mu) over the radius-t sphere around each grid point.
 
     T_lambda with lambda the probability measure on the radius-t sphere:
@@ -137,13 +140,11 @@ def spherical_average(f, mu: DiscreteMeasure, t: float, grid: SpectralGrid,
     """
     _check_t(t, grid)
     base = sphere_multiplier(grid.dim)
-    return convolve_distribution(lambda rho: base(t * rho), f, mu, grid, mollify_eps)
+    return convolve_distribution(lambda rho: base(t * rho), f, mu, grid)
 
 
 def quadrature_spherical_average(f, mu: DiscreteMeasure, t: float,
-                                 grid: SpectralGrid,
-                                 mollify_eps: float | None = None,
-                                 chunk: int = 32) -> ComplexField:
+                                 grid: SpectralGrid) -> ComplexField:
     """Direct-sum oracle for spherical_average: sum_i f_i w_i K_t(|x - x_i|).
 
     O(n_grid * n_atoms); intended for cross-checks on modest grids.
@@ -152,12 +153,13 @@ def quadrature_spherical_average(f, mu: DiscreteMeasure, t: float,
 
     _check_t(t, grid)
     _check_in_box(mu, grid)
-    eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
+    eps = default_mollify_eps(grid)
     coeffs = _atom_values(f, mu) * mu.weights
     axes = [grid.space_axis()] * grid.dim
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     out = np.zeros(pts.shape[0], dtype=np.complex128)
+    chunk = _QUADRATURE_CHUNK
     for lo in range(0, mu.n_atoms, chunk):
         dist = cdist(pts, mu.atoms[lo:lo + chunk])
         out += sphere_spatial_kernel(grid.dim, t, eps, dist) @ coeffs[lo:lo + chunk]
@@ -172,8 +174,8 @@ def default_t_grid(n: int = 64) -> np.ndarray:
     return 2.0 ** (np.arange(n + 1) / n)
 
 
-def maximal_function(f, mu: DiscreteMeasure, t_grid, grid: SpectralGrid,
-                     mollify_eps: float | None = None) -> ComplexField:
+def maximal_function(f, mu: DiscreteMeasure, t_grid,
+                     grid: SpectralGrid) -> ComplexField:
     """Pointwise max of |spherical average| over a sorted t-grid inside [1,2].
 
     One measure transform is shared across all radii; each radius costs one
@@ -189,7 +191,7 @@ def maximal_function(f, mu: DiscreteMeasure, t_grid, grid: SpectralGrid,
         raise ParameterError(
             f"t_grid must lie in [1, 2], got range [{t_arr[0]}, {t_arr[-1]}]")
     _check_t(float(t_arr[-1]), grid)
-    eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
+    eps = default_mollify_eps(grid)
     spec = Spectrum(f, mu, grid)
     base = sphere_multiplier(grid.dim)
     best = None
@@ -212,17 +214,16 @@ def dyadic_operator(f, mu: DiscreteMeasure, j: int, grid: SpectralGrid) -> Compl
 
 
 def convolve_distribution(multiplier: Callable, f, mu: DiscreteMeasure,
-                          grid: SpectralGrid,
-                          mollify_eps: float | None = None) -> ComplexField:
+                          grid: SpectralGrid) -> ComplexField:
     """T_lambda f = lambda * (f d(mu)) for lambda with real radial transform.
 
     multiplier maps |xi| arrays to the transform of lambda; it is damped by
-    the Gaussian mollifier at mollify_eps (default one band, 2/freq_max).
+    the Gaussian mollifier at one band, eps = 2/freq_max.
     A non-finite multiplier value anywhere on the grid is a configuration
     error: singular multipliers carry their own finite origin value, as
     riesz_multiplier does.
     """
-    eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
+    eps = default_mollify_eps(grid)
     # damping keeps a non-finite value non-finite, and Spectrum rejects it
     return Spectrum(f, mu, grid).apply(
         lambda rho: np.asarray(multiplier(rho), dtype=np.float64)
@@ -230,6 +231,9 @@ def convolve_distribution(multiplier: Callable, f, mu: DiscreteMeasure,
 
 
 # ---- Riesz row sums ----
+
+_RIESZ_CHUNK = 2 ** 21  # atoms per distance block in riesz_row_sum
+
 
 @dataclass(frozen=True)
 class RieszRowReport:
@@ -243,7 +247,7 @@ class RieszRowReport:
 
 
 def riesz_row_sum(mu: DiscreteMeasure, alpha_mu: float, x,
-                  level_cap: int = 30, chunk: int = 2 ** 21) -> RieszRowReport:
+                  level_cap: int = 30) -> RieszRowReport:
     """Schur-type row sum sum_m 2^{m(d-alpha)} mu(shell_m(x)) over dyadic shells.
 
     Shell m collects atoms at distance in (2^-m, 2^{-m+1}]; atoms closer than
@@ -255,6 +259,7 @@ def riesz_row_sum(mu: DiscreteMeasure, alpha_mu: float, x,
     if level_cap < 1:
         raise ParameterError(f"level_cap must be >= 1, got {level_cap}")
     shell_mass = np.zeros(level_cap + 1)
+    chunk = _RIESZ_CHUNK
     for lo in range(0, mu.n_atoms, chunk):
         diff = mu.atoms[lo:lo + chunk] - x
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))

@@ -98,8 +98,8 @@ class SpectralGrid:
         n = self.n_per_axis
         if n < 8 or (n & (n - 1)) != 0:
             raise ParameterError(f"n_per_axis must be a power of two >= 8, got {n}")
-        if self.box_half_width <= 0:
-            raise ParameterError("box_half_width must be positive")
+        if not 0 < self.box_half_width < math.inf:
+            raise ParameterError("box_half_width must be positive and finite")
         if n**self.dim > _MAX_FIELD_VALUES:
             raise ResourceError(
                 f"{n}^{self.dim} grid values exceed the cap {_MAX_FIELD_VALUES}")
@@ -163,9 +163,6 @@ class ComplexField:
             raise ParameterError("field shape does not match grid")
         if self.rep not in ("freq", "space"):
             raise ParameterError(f"rep must be 'freq' or 'space', got {self.rep!r}")
-
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values.copy(), self.rep)
 
 
 # ---- atom -> grid transforms ----
@@ -583,7 +580,9 @@ def field_at_points(field: ComplexField, points) -> np.ndarray:
         raise ParameterError("points must match the grid dimension")
     x = (pts + g.box_half_width) / g.spacing
     if np.any(x < 0) or np.any(x > g.n_per_axis - 1):
-        raise DomainError("interpolation points outside the grid box")
+        raise DomainError(
+            "interpolation points must lie in [-L, L - dx] = "
+            f"[{-g.box_half_width!r}, {g.box_half_width - g.spacing!r}] per axis")
     lo = np.floor(x).astype(np.int64)
     lo = np.minimum(lo, g.n_per_axis - 2)
     frac = x - lo
@@ -663,7 +662,7 @@ def partition_residual(grid: SpectralGrid) -> float:
 
 # ---- scaling-law fits ----
 
-def decay_fit(field: ComplexField, shell_count: int | None = None) -> FitReport:
+def decay_fit(field: ComplexField) -> FitReport:
     """Fit the max modulus over dyadic shells 2^m <= |xi| < 2^(m+1).
 
     Returns the log-log line fit; the decay exponent estimate is -slope.
@@ -672,12 +671,9 @@ def decay_fit(field: ComplexField, shell_count: int | None = None) -> FitReport:
         raise ParameterError("decay_fit expects a frequency-side field")
     radii = field.grid.freq_radii()
     m_max = int(math.floor(math.log2(field.grid.freq_max)))  # 2^(m+1) <= freq_max
-    shells = range(0, m_max)
-    if shell_count is not None:
-        shells = range(0, min(m_max, shell_count))
     log_r, log_peak = [], []
     mods = np.abs(field.values)
-    for m in shells:
+    for m in range(m_max):
         mask = (radii >= 2.0**m) & (radii < 2.0**(m + 1))
         if not np.any(mask):
             continue

@@ -77,12 +77,12 @@ class WaveField:
         return _plane_csv_rows("x,y,u", axis, (self.values[:, :, k],))
 
 
-def wave_solution(f, mu: DiscreteMeasure, t: float, grid: SpectralGrid,
-                  mollify_eps: float | None = None) -> WaveField:
+def wave_solution(f, mu: DiscreteMeasure, t: float,
+                  grid: SpectralGrid) -> WaveField:
     """Snapshot u(., t) = t * (radius-t spherical average of f d(mu))."""
     if grid.dim != 3:
         raise ParameterError(f"wave evolution needs a d=3 grid, got d={grid.dim}")
-    avg = spherical_average(f, mu, t, grid, mollify_eps=mollify_eps)
+    avg = spherical_average(f, mu, t, grid)
     # real f gives a fresh float64 field, scaled in place; complex f keeps
     # its real part, copied once
     u = np.ascontiguousarray(avg.values.real)
@@ -119,8 +119,7 @@ class PointwiseReport:
 
 
 def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
-                        times=(0.2, 0.1, 0.05),
-                        mollify_eps: float | None = None) -> PointwiseReport:
+                        times=(0.2, 0.1, 0.05)) -> PointwiseReport:
     """Convergence order of u(., t)/t toward the data as t shrinks.
 
     The reference profile is the zero-radius limit of the same pipeline
@@ -137,7 +136,7 @@ def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
         raise ParameterError("probe times must be distinct")
     for t in t_arr:
         _check_t(t, grid)
-    eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
+    eps = default_mollify_eps(grid)
     spec = Spectrum(f, mu, grid)
     target = spec.apply(lambda rho: mollifier_hat(eps * rho)).values.real
     base = sphere_multiplier(3)
@@ -149,8 +148,7 @@ def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
     return PointwiseReport(times=t_arr, errors=tuple(errors), fit=fit)
 
 
-def gaussian_wave_target(a: float, t: float, grid: SpectralGrid,
-                         mollify_eps: float | None = None) -> np.ndarray:
+def gaussian_wave_target(a: float, t: float, grid: SpectralGrid) -> np.ndarray:
     """Closed-form u(., t) for data exp(-|x|^2 / (2 a^2)) against Lebesgue.
 
     The Gaussian mollifier widens the data to b^2 = a^2 + eps^2 and scales
@@ -162,7 +160,7 @@ def gaussian_wave_target(a: float, t: float, grid: SpectralGrid,
     if a <= 0:
         raise ParameterError(f"data width must be positive, got {a}")
     _check_t(t, grid)
-    eps = default_mollify_eps(grid) if mollify_eps is None else float(mollify_eps)
+    eps = default_mollify_eps(grid)
     b2 = a * a + eps * eps
     axis = grid.space_axis()
     x, y, z = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -182,6 +180,7 @@ def gaussian_wave_target(a: float, t: float, grid: SpectralGrid,
 
 _SUPPORT_RADIUS = 0.5
 _BOX_EPS = (0.125, 0.25, 0.5)
+_BOX_HALF_WIDTH = 2.0
 
 
 def sharpness_family(support_radius: float = _SUPPORT_RADIUS):
@@ -269,9 +268,7 @@ def _box_dimension(mask: np.ndarray, sides, spacing: float):
 def blowup_probe(f_family, mu, t: float, refinements=(64, 128, 256),
                  thresholds=None, family_p: float | None = None,
                  threshold_fraction: float = 0.95,
-                 box_eps=_BOX_EPS, stability_tol: float = 0.3,
-                 box_half_width: float = 2.0,
-                 mollify_eps: float | None = None) -> BlowupReport:
+                 box_eps=_BOX_EPS) -> BlowupReport:
     """Box-dimension estimate of {u(., t) >= threshold} across refinements.
 
     f_family maps a grid to data values (so singular profiles can sharpen
@@ -280,8 +277,9 @@ def blowup_probe(f_family, mu, t: float, refinements=(64, 128, 256),
     grid sharpens the field while the observation scales stay put, so the
     per-refinement estimates can stabilize.  Explicit thresholds must be
     non-decreasing; by default each refinement thresholds at a fixed
-    fraction of its own maximum.  When the last two estimates differ by
-    more than stability_tol the result is flagged inconclusive, not failed.
+    fraction of its own maximum.  Every grid spans [-2, 2]^3.  When the
+    last two estimates differ by more than 0.3 the result is flagged
+    inconclusive, not failed.
     """
     refs = tuple(int(n) for n in refinements)
     if len(refs) < 2:
@@ -295,7 +293,7 @@ def blowup_probe(f_family, mu, t: float, refinements=(64, 128, 256),
         raise ParameterError("box sizes must be distinct")
     side_table = []
     for n in refs:
-        dx = 2.0 * box_half_width / n
+        dx = 2.0 * _BOX_HALF_WIDTH / n
         sides = []
         for e in eps_levels:
             s = e / dx
@@ -319,10 +317,10 @@ def blowup_probe(f_family, mu, t: float, refinements=(64, 128, 256),
 
     taus, all_counts, dims = [], [], []
     for r, n in enumerate(refs):
-        grid = SpectralGrid(dim=3, n_per_axis=n, box_half_width=box_half_width)
+        grid = SpectralGrid(dim=3, n_per_axis=n, box_half_width=_BOX_HALF_WIDTH)
         f = f_family(grid)
         mu_r = mu(grid) if callable(mu) else mu
-        u = wave_solution(f, mu_r, t, grid, mollify_eps=mollify_eps).values
+        u = wave_solution(f, mu_r, t, grid).values
         tau = tau_given[r] if tau_given is not None else (
             threshold_fraction * float(u.max()))
         counts, dim = _box_dimension(u >= tau, side_table[r], grid.spacing)
@@ -333,7 +331,7 @@ def blowup_probe(f_family, mu, t: float, refinements=(64, 128, 256),
     compare = None if family_p is None else blowup_dim_fixed_time(3, family_p)
     return BlowupReport(
         t=float(t), refinements=refs, thresholds=tuple(taus),
-        box_eps=eps_levels, box_half_width=float(box_half_width),
+        box_eps=eps_levels, box_half_width=_BOX_HALF_WIDTH,
         counts=tuple(all_counts), level_dims=tuple(dims),
         boxdim_estimate=dims[-1], compare=compare, family_p=family_p,
-        inconclusive=bool(abs(dims[-1] - dims[-2]) > stability_tol))
+        inconclusive=bool(abs(dims[-1] - dims[-2]) > 0.3))

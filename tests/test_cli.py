@@ -2,15 +2,12 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import frostlab
 from frostlab import spectral
 from frostlab.cli import main
 from frostlab.measures import cantor_measure, load_measure_json, product_measure
@@ -439,10 +436,8 @@ def _heavy_scipy_after(code: str) -> set:
     """The _HEAVY_SCIPY modules loaded once code has run in a fresh process."""
     probe = (f"{code}\nimport sys\n"
              f"print(' '.join(m for m in {_HEAVY_SCIPY!r} if m in sys.modules))")
-    path = [str(Path(frostlab.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=env)
+                          text=True)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())  # the probe's line comes last
 

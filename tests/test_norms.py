@@ -33,7 +33,7 @@ CANTOR2SQ = product_measure([cantor_measure(0.25, 2)] * 2)
 
 def riesz_handle(mu, alpha, eps):
     kern = lambda r: (r * r + eps * eps) ** ((alpha - mu.dim) / 2.0)
-    return kernel_matrix_handle(kern, mu, mu, label=f"riesz a={alpha}")
+    return kernel_matrix_handle(kern, mu, mu)
 
 
 # ---- lp_norm ----

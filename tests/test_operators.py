@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from frostlab import operators
 from frostlab.errors import ConfigError, DomainError, ParameterError
 from frostlab.measures import (
     cantor_measure,
@@ -417,6 +418,21 @@ def test_row_sum_partial_sums_discriminate():
     rep12 = riesz_row_sum(mu, 1.2, x, level_cap=20)
     ps12 = np.cumsum(rep12.contributions)
     assert ps12[18] / ps12[8] < 1.5
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_row_sum_chunked_scan_matches_one_chunk(monkeypatch, chunk):
+    # 1024 atoms of unequal weight: 1024 one-atom chunks, or 146 of 7 and a
+    # ragged last one
+    weights = np.random.default_rng(5).uniform(0.5, 1.5, CANTOR45SQ.n_atoms)
+    mu = measure_from_atoms(CANTOR45SQ.atoms, weights)
+    x = mu.atoms[0]
+    whole = riesz_row_sum(mu, 1.2, x, level_cap=20)
+    monkeypatch.setattr(operators, "_RIESZ_CHUNK", chunk)
+    got = riesz_row_sum(mu, 1.2, x, level_cap=20)
+    assert np.count_nonzero(whole.contributions) > 5
+    np.testing.assert_allclose(got.contributions, whole.contributions,
+                               rtol=1e-12, atol=0.0)
 
 
 def test_row_sum_level_cap_validation():

@@ -95,6 +95,10 @@ def test_grid_validation():
         SpectralGrid(4, 64, 2.0)
     with pytest.raises(ResourceError):
         SpectralGrid(3, 512, 2.0)  # 512^3 above the value cap
+    # NaN <= 0 is False, so a sign test alone built a grid of NaN spacing
+    for half_width in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="box_half_width"):
+            SpectralGrid(2, 64, half_width)
 
 
 # ---- oracle equivalence for every constructor ----
@@ -514,6 +518,17 @@ def test_field_at_points_matches_nodes():
     mid = np.array([[0.5 * (ax[10] + ax[11]), ax[20]]])
     expect = 0.5 * (field.values[10, 20] + field.values[11, 20])
     np.testing.assert_allclose(field_at_points(field, mid)[0], expect, rtol=1e-12)
+
+
+def test_field_at_points_guard_states_its_range():
+    field = to_space(measure_fourier(None, dirac(2), SpectralGrid(2, 64, 2.0)))
+    L, dx = 2.0, field.grid.spacing
+    assert field_at_points(field, [[-L, L - dx]]).shape == (1,)
+    # inside the box [-L, L) but past the last node, so no cell to interpolate in
+    with pytest.raises(DomainError) as info:
+        field_at_points(field, [[L - dx / 2, 0.0]])
+    assert str(info.value) == ("interpolation points must lie in [-L, L - dx]"
+                               f" = [{-L!r}, {L - dx!r}] per axis")
 
 
 def test_field_at_points_keeps_a_real_field_real():

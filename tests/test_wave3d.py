@@ -256,7 +256,7 @@ def test_energy_ratio_consistent_with_certified_lower_bound(grid32, mu_small):
     grid = SpectralGrid(dim=3, n_per_axis=64, box_half_width=2.0)
     op = lambda vals: ComplexField(grid, wave_solution(vals, mu_small, 1.0, grid).values,
                                    "space")
-    handle = grid_operator_handle(op, nu, label="wave-t1")
+    handle = grid_operator_handle(op, nu)
     est = opnorm_lower(handle, mu_small, nu, 2.0, "bumps", seed=7)
     assert 0.05 < est.value < 0.09
     g = gaussian(0.3)(mu_small.atoms)
