@@ -52,6 +52,7 @@ from .measures import (
     sphere_measure,
 )
 from .norms import (
+    FAMILIES,
     grid_operator_handle,
     growth_rate,
     opnorm_lower,
@@ -422,6 +423,7 @@ def _run_maximal(r: _Reader, args, out: Path) -> int:
 
 
 def _run_opnorm(r: _Reader, args, out: Path) -> int:
+    family = r.choice("family", FAMILIES, "bumps")
     mu = _build_measure(r, args.seed)
     nu = _build_measure(r, args.seed, key="nu",
                         default={"kind": "lebesgue-box", "d": 2,
@@ -429,7 +431,6 @@ def _run_opnorm(r: _Reader, args, out: Path) -> int:
     grid = _build_grid(r, _GRID_2D)
     t = r.get("t", 0.5)
     p = r.get("p", 2.0)
-    family = r.get("family", "bumps")
     r.done()
     handle = grid_operator_handle(
         lambda vals: spherical_average(vals, mu, t, grid), nu)
@@ -611,8 +612,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="artifact directory (default .)")
     common.add_argument("--threads", type=int, metavar="N",
                         help="cap FFT worker threads")
-    common.add_argument("--quick", action="store_true",
-                        help="trim the slowest suite fixtures")
     parser = argparse.ArgumentParser(
         prog="frostlab",
         description="Spherical averaging experiments over fractal measures.")
@@ -622,6 +621,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 metavar="SUBCOMMAND")
     for name in _HANDLERS:
         sub.add_parser(name, parents=[common])
+    sub.choices["suite"].add_argument("--quick", action="store_true",
+                                      help="trim the slowest suite fixtures")
     return parser
 
 

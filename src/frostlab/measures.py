@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -600,7 +601,11 @@ def save_measure_binary(mu: DiscreteMeasure, path) -> None:
 
 
 def _read_exact(fh, size: int, path) -> bytes:
-    """Read exactly size bytes; a short read means a truncated file."""
+    """Read exactly size bytes; a file with fewer left is truncated.  Sizes
+    come from headers, so each is checked against the file before a
+    buffer is allocated for it."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ParameterError(f"{path}: truncated file")
     data = fh.read(size)
     if len(data) != size:
         raise ParameterError(f"{path}: truncated file")
@@ -614,6 +619,8 @@ def load_measure_binary(path) -> DiscreteMeasure:
             raise ParameterError(f"{path}: bad magic {magic!r}")
         dim, n, nominal, total, res = struct.unpack("<IQddd",
                                                     _read_exact(fh, 36, path))
+        if dim < 1:
+            raise ParameterError(f"{path}: dim must be >= 1, got {dim}")
         box_lo = np.frombuffer(_read_exact(fh, 8 * dim, path), dtype="<f8").copy()
         box_hi = np.frombuffer(_read_exact(fh, 8 * dim, path), dtype="<f8").copy()
         (taglen,) = struct.unpack("<I", _read_exact(fh, 4, path))

@@ -28,16 +28,16 @@ box or grid builds a new one.  A plan costs 12 bytes per kernel value,
 12 * 14^d bytes per atom; one is kept only up to 2^22 values (about
 48 MB), and larger problems spread each transform afresh.
 
-`measure_fourier` returns the full lattice.  The operators go through
-`Spectrum`, which keeps the rfftn half lattice (f dmu is real, or two real
-parts) and evaluates each radial multiplier on a 1-d table of the radii
-sqrt(K2) * freq_step, K2 = |k|^2 an integer, gathered by K2.  Both share
-one bin-or-spread helper.
+Both routes run one rfftn of a real grid: a complex f is two real
+transforms, by linearity.  `Spectrum`, which the operators go through,
+keeps that rfftn half lattice and evaluates each radial multiplier on a
+1-d table of the radii sqrt(K2) * freq_step, K2 = |k|^2 an integer,
+gathered by K2.  `measure_fourier` reads the full lattice from the same
+real spectrum.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
@@ -120,28 +120,19 @@ class SpectralGrid:
         return np.fft.fftfreq(self.n_per_axis, d=self.spacing)
 
     def freq_radii(self) -> np.ndarray:
-        f = self.axis_freqs()
-        sq = np.zeros((self.n_per_axis,) * self.dim)
-        for a in range(self.dim):
-            shape = [1] * self.dim
-            shape[a] = self.n_per_axis
-            sq = sq + (f**2).reshape(shape)
-        return np.sqrt(sq)
+        """|xi| over the full lattice, gathered from _radius_keys' table.
+
+        The table is built afresh, not cached: a decay fit reads it once
+        per field, and a cached table allocated after a transform's large
+        temporaries pins the heap above them (glibc malloc: 38 MB more
+        peak RSS for a 128^3 transform and fit, then the quadrature
+        oracle)."""
+        keys, radii = _radius_keys.__wrapped__(self)
+        k = np.fft.fftfreq(self.n_per_axis, d=1.0 / self.n_per_axis).astype(np.int64)
+        return radii[keys[..., np.abs(k)]]
 
     def space_axis(self) -> np.ndarray:
         return -self.box_half_width + self.spacing * np.arange(self.n_per_axis)
-
-    def checkerboard(self) -> np.ndarray:
-        # (-1)^(k_1+...+k_d) over FFT index layout; the same array also maps
-        # lattice positions -L + j dx, because fftfreq index parity matches
-        k = np.fft.fftfreq(self.n_per_axis, d=1.0 / self.n_per_axis)
-        sign = np.where(np.round(k).astype(np.int64) % 2 == 0, 1.0, -1.0)
-        out = np.ones((self.n_per_axis,) * self.dim)
-        for a in range(self.dim):
-            shape = [1] * self.dim
-            shape[a] = self.n_per_axis
-            out = out * sign.reshape(shape)
-        return out
 
 
 @dataclass
@@ -256,7 +247,7 @@ def _es_chunks(u: np.ndarray, n_fine: int, dim: int):
 def _spread_es(c: np.ndarray, u: np.ndarray, n_fine: int, dim: int) -> np.ndarray:
     """Scatter strengths c at torus positions u in [0, 1)^dim onto the
     n_fine^dim grid, one chunk of atoms at a time."""
-    total = np.zeros(n_fine**dim, dtype=np.result_type(c, np.float64))
+    total = np.zeros(n_fine**dim)
     for i0, rows, wt in _es_chunks(u, n_fine, dim):
         np.add.at(total, rows.ravel(), (wt * c[i0:i0 + len(wt), None]).ravel())
     return total.reshape((n_fine,) * dim)
@@ -298,14 +289,7 @@ def _spread(c: np.ndarray, u: np.ndarray, n_fine: int, dim: int) -> np.ndarray:
     if not hit:
         _plan_cache = None  # free the old plan before the new one is built
         _plan_cache = (n_fine, dim, u.copy(), _spread_plan(u, n_fine, dim))
-    plan = _plan_cache[3]
-    if np.iscomplexobj(c):  # two real products: no complex copy of the plan
-        total = np.empty(plan.shape[0], dtype=np.complex128)
-        total.real = plan @ c.real
-        total.imag = plan @ c.imag
-    else:
-        total = plan @ c
-    return total.reshape((n_fine,) * dim)
+    return (_plan_cache[3] @ c).reshape((n_fine,) * dim)
 
 
 def _es_transform(k: np.ndarray, n_fine: int) -> np.ndarray:
@@ -316,17 +300,19 @@ def _es_transform(k: np.ndarray, n_fine: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _es_deconvolution(grid: SpectralGrid, half: bool) -> tuple:
-    """Per-axis factors that divide the ES kernel's transform out of the
-    central modes, shaped to broadcast along their axis; without half each
-    also carries the checkerboard sign (-1)^k."""
+def _mode_factors(grid: SpectralGrid, half: bool, spread: bool) -> tuple:
+    """Per-axis factors of the modes in _transform's layouts, shaped to
+    broadcast along their axis: on the full lattice (not half) the sign
+    (-1)^k that moves the origin from the box corner -L to 0, and for
+    spread modes the division by the ES kernel's transform."""
     n, d = grid.n_per_axis, grid.dim
     k = np.fft.fftfreq(n, d=1.0 / n)
     factors = []
     for a in range(d):
         modes = np.arange(n // 2 + 1.0) if half and a == d - 1 else k
-        sign = 1.0 if half else 1.0 - 2.0 * (modes.astype(np.int64) % 2)
-        factor = (sign / _es_transform(modes, 2 * n)).reshape((-1,) + (1,) * (d - a - 1))
+        sign = np.ones(modes.size) if half else 1.0 - 2.0 * (modes.astype(np.int64) % 2)
+        factor = sign / _es_transform(modes, 2 * n) if spread else sign
+        factor = factor.reshape((-1,) + (1,) * (d - a - 1))
         factor.setflags(write=False)  # one array serves every later caller
         factors.append(factor)
     return tuple(factors)
@@ -334,50 +320,53 @@ def _es_deconvolution(grid: SpectralGrid, half: bool) -> tuple:
 
 def _transform(c: np.ndarray, mu: DiscreteMeasure, grid: SpectralGrid,
                half: bool) -> np.ndarray:
-    """Transform of the strengths c at the atoms of mu, in FFT order.
+    """Transform of the real strengths c at the atoms of mu, in FFT order.
 
-    half=False gives measure_fourier's full lattice.  half=True needs real c
-    and gives the rfftn half lattice, whose last axis holds the modes
-    0..n/2, with the origin left at the box corner -L: the checkerboard
-    (-1)^k that moves it to 0 would cancel against the one of the inverse.
-    Atoms on grid nodes are binned; others are spread with the ES kernel and
-    the kernel's transform is divided out.
+    Atoms on grid nodes are binned onto the n^d lattice; others are spread
+    with the ES kernel onto the 2n^d fine grid, and the kernel's transform
+    is divided out of the central modes.  Either grid is real and goes
+    through one rfftn.  half=True gives its half lattice, whose last axis
+    holds the modes 0..n/2, with the origin left at the box corner -L: the
+    sign (-1)^k that moves it to 0 would cancel against the one of the
+    inverse.  half=False gives measure_fourier's full lattice: last-axis
+    modes 0..n/2-1 directly, and -n/2..-1 as conj F(-k), read at rows
+    (-k) mod N of the grid (N = n binned, 2n spread).  That is exact, not a
+    mirror of the central half lattice, because the fine grid holds +n/2
+    on every axis and the binned lattice is periodic.
     """
     import scipy.fft
 
-    n = grid.n_per_axis
-    d = grid.dim
-    fft = scipy.fft.rfftn if half else scipy.fft.fftn
+    n, d, h = grid.n_per_axis, grid.dim, grid.n_per_axis // 2
     lattice = _lattice_indices(mu, grid)
-    if lattice is not None:
+    spread = lattice is None
+    if spread:
+        if (2 * n)**d > _MAX_SPREAD_VALUES:
+            raise ResourceError(
+                "oversampled spreading grid too large; align atoms to the lattice "
+                "or use a coarser grid")
+        u = (mu.atoms + grid.box_half_width) / (2.0 * grid.box_half_width)
+        values = _spread(c, u, 2 * n, d)
+    else:
         flat = lattice[:, 0]
         for a in range(1, d):
             flat = flat * n + lattice[:, a]
-        binned = np.bincount(flat, weights=c.real, minlength=n**d)
-        if np.iscomplexobj(c):  # bincount takes real weights only
-            binned = binned + 1j * np.bincount(flat, weights=c.imag, minlength=n**d)
-        spectrum = fft(binned.reshape((n,) * d), workers=_fft_workers)
-        return spectrum if half else grid.checkerboard() * spectrum
-
-    n_fine = 2 * n
-    if n_fine**d > _MAX_SPREAD_VALUES:
-        raise ResourceError(
-            "oversampled spreading grid too large; align atoms to the lattice "
-            "or use a coarser grid")
-    u = (mu.atoms + grid.box_half_width) / (2.0 * grid.box_half_width)
-    spec = fft(_spread(c, u, n_fine, d), workers=_fft_workers)
-    # the central n modes per axis are the first and last n/2 in FFT order:
-    # one block per choice of half on each axis; the half lattice's last
-    # axis is the one block 0..n/2
-    h = n // 2
-    halves = ((slice(0, h), slice(0, h)), (slice(h, n), slice(n_fine - h, None)))
-    last = ((slice(0, h + 1), slice(0, h + 1)),) if half else halves
-    central = np.empty((n,) * (d - 1) + ((h + 1,) if half else (n,)),
-                       dtype=np.complex128)
-    for pick in itertools.product(*([halves] * (d - 1) + [last])):
-        dst, src = zip(*pick)
-        central[dst] = spec[src]
-    for factor in _es_deconvolution(grid, half):
+        values = np.bincount(flat, weights=c, minlength=n**d).reshape((n,) * d)
+    size = values.shape[0]  # N
+    spec = scipy.fft.rfftn(values, workers=_fft_workers)
+    del values
+    if half and not spread:
+        return spec
+    # mode k of each leading axis sits at row k mod N
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    rows = np.ix_(*[k % size] * (d - 1))
+    if half:
+        central = spec[..., :h + 1][rows]
+    else:
+        central = np.empty((n,) * d, dtype=np.complex128)
+        central[..., :h] = spec[..., :h][rows]
+        np.conjugate(spec[..., h:0:-1][np.ix_(*[-k % size] * (d - 1))],
+                     out=central[..., h:])
+    for factor in _mode_factors(grid, half, spread):
         central *= factor
     return central
 
@@ -391,11 +380,15 @@ def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> ComplexField:
     14 points per axis and 2x oversampling evaluates the same sum to within
     1e-11 of the largest transform modulus.  Measured worst cases: 1.4e-12
     for one atom in d = 3, where the errors of the three axes add up, and
-    7e-13 on 300-atom fixtures with signed or complex f.
+    7e-13 on 300-atom fixtures with signed or complex f.  Complex f is two
+    real transforms, by linearity.
     """
     _check_in_box(mu, grid)
     c = _atom_values(f, mu) * mu.weights
-    return ComplexField(grid, _transform(c, mu, grid, False), "freq")
+    values = _transform(c.real, mu, grid, False)
+    if np.iscomplexobj(c):
+        values += 1j * _transform(c.imag, mu, grid, False)
+    return ComplexField(grid, values, "freq")
 
 
 def to_space(field: ComplexField) -> ComplexField:
@@ -406,7 +399,10 @@ def to_space(field: ComplexField) -> ComplexField:
         raise ParameterError("to_space expects a frequency-side field")
     g = field.grid
     scale = (g.n_per_axis * g.freq_step) ** g.dim
-    vals = scale * scipy.fft.ifftn(field.values * g.checkerboard(), workers=_fft_workers)
+    vals = field.values.copy()
+    for sign in _mode_factors(g, False, False):
+        vals *= sign
+    vals = scale * scipy.fft.ifftn(vals, workers=_fft_workers, overwrite_x=True)
     return ComplexField(g, vals, "space")
 
 
@@ -417,9 +413,10 @@ def to_freq(field: ComplexField) -> ComplexField:
     if field.rep != "space":
         raise ParameterError("to_freq expects a space-side field")
     g = field.grid
-    vals = g.spacing**g.dim * g.checkerboard() * scipy.fft.fftn(field.values,
-                                                                workers=_fft_workers)
-    return ComplexField(g, vals, "freq")
+    vals = scipy.fft.fftn(field.values, workers=_fft_workers)
+    for sign in _mode_factors(g, False, False):
+        vals *= sign
+    return ComplexField(g, g.spacing**g.dim * vals, "freq")
 
 
 # one grid only: the keys take 4 bytes per half-lattice point (34 MB at
@@ -474,7 +471,7 @@ class Spectrum:
     Real f dmu has a Hermitian transform, so the half lattice (last axis
     0..n/2) holds all of it; complex f is two real transforms, by
     linearity.  The transform keeps its origin at the box corner, because
-    the checkerboard that measure_fourier applies cancels in the inverse.
+    the sign (-1)^k that measure_fourier applies cancels in the inverse.
     energy counts each half-lattice point for itself and its mirror -k.
 
     The half lattice differs from measure_fourier's on the Nyquist planes
@@ -652,7 +649,7 @@ def lowpass_phi_hat(rho):
 
 def partition_residual(grid: SpectralGrid) -> float:
     """max over grid frequencies of |beta0 + sum_j beta(2^-j .) - 1|."""
-    radii = grid.freq_radii()
+    radii = _radius_keys(grid)[1][_occurring_keys(grid)]
     j_max = max(1, int(math.ceil(math.log2(max(grid.freq_max, 1.0) / _CHI_LO))) + 1)
     total = beta0(radii)
     for j in range(1, j_max + 1):

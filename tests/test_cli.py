@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from frostlab import spectral
+from frostlab import cli, spectral
 from frostlab.cli import main
 from frostlab.measures import cantor_measure, load_measure_json, product_measure
 from frostlab.operators import spherical_average
@@ -142,6 +142,28 @@ def test_runtime_domain_error_exits_3(tmp_path, capsys):
 
 def test_bad_threads_exits_3(tmp_path):
     assert main(["exponents", "--threads", "0", "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("command", sorted(set(cli._HANDLERS) - {"suite"}))
+def test_quick_is_a_suite_flag_only(tmp_path, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--quick", "--out", str(tmp_path)])
+    assert err.value.code == 2
+
+
+def test_opnorm_unknown_family_exits_3_before_any_measure(tmp_path, capsys,
+                                                          monkeypatch):
+    def no_measure(*args, **kwargs):
+        raise AssertionError("a measure was built before the family was read")
+
+    monkeypatch.setattr(cli, "_build_measure", no_measure)
+    cfg = _cfg(tmp_path, "c.json", {"experiment": "opnorm", "family": "nope"})
+    out = tmp_path / "out"
+    assert main(["opnorm", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "frostlab: config error: family: must be one of random_atoms, bumps,"
+        " extremizers, power_iteration_p2, got 'nope'\n")
+    assert list(out.iterdir()) == []
 
 
 # ---- artifacts ----
@@ -408,7 +430,7 @@ def test_threads_and_plan_cache_leave_the_bits_unchanged(tmp_path,
     f = np.cos(np.arange(mu.n_atoms))
     monkeypatch.setattr(spectral, "_plan_cache", None)
     spectral._radius_keys.cache_clear()
-    spectral._es_deconvolution.cache_clear()
+    spectral._mode_factors.cache_clear()
     cold = spherical_average(f, mu, 0.5, grid).values
     assert spectral._plan_cache is not None
     warm = spherical_average(f, mu, 0.5, grid).values

@@ -1,6 +1,7 @@
 """Constructors, ball-mass laws, Frostman fits, energies, and serialization."""
 
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -383,4 +384,20 @@ def test_binary_rejects_truncated_file(tmp_path, keep):
     save_measure_binary(cantor_measure(0.25, 4), path)
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(ParameterError, match="truncated"):
+        load_measure_binary(path)
+
+
+# header fields (offset, format, value): 2^40 atoms claim 8 TB the file
+# does not hold, and dim = 0 would misread every later field
+@pytest.mark.parametrize("offset, fmt, value, match", [
+    (12, "<Q", 2**40, "truncated"),
+    (8, "<I", 0, "dim must be >= 1"),
+], ids=["n_atoms", "dim"])
+def test_binary_header_is_checked_before_reading(tmp_path, offset, fmt, value, match):
+    path = tmp_path / "m.fmeas"
+    save_measure_binary(cantor_measure(0.25, 4), path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParameterError, match=match):
         load_measure_binary(path)

@@ -306,18 +306,38 @@ def test_per_grid_tables_are_built_once_and_read_only(d, n):
     mu = offlattice_measure(d, d, 50)
     f = np.cos(np.arange(mu.n_atoms))
     spectral._radius_keys.cache_clear()
-    spectral._es_deconvolution.cache_clear()
+    spectral._mode_factors.cache_clear()
     cold = [measure_fourier(f, mu, grid).values,
             spectral.Spectrum(f, mu, grid).apply(lowpass_chi).values]
-    tables = [spectral._radius_keys(grid), spectral._es_deconvolution(grid, True),
-              spectral._es_deconvolution(grid, False)]
+    tables = [spectral._radius_keys(grid), spectral._mode_factors(grid, True, True),
+              spectral._mode_factors(grid, False, True)]
     warm = [measure_fourier(f, mu, grid).values,
             spectral.Spectrum(f, mu, grid).apply(lowpass_chi).values]
     assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
     assert spectral._radius_keys(grid) is tables[0]
-    assert spectral._es_deconvolution(grid, True) is tables[1]
+    assert spectral._mode_factors(grid, True, True) is tables[1]
     # every caller shares these arrays, so none may write to them
     assert not any(a.flags.writeable for table in tables for a in table)
+
+
+@pytest.mark.parametrize("spread", [False, True], ids=["binned", "spread"])
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+def test_full_lattice_reads_the_half_lattice_spectrum(d, n, spread):
+    # measure_fourier and Spectrum read one rfftn: on the last-axis modes
+    # 0..n/2-1 they differ by the origin's sign (-1)^(k_1+...+k_d) alone
+    grid = SpectralGrid(d, n, 2.0)
+    rng = np.random.default_rng(d)
+    if spread:
+        mu = offlattice_measure(d, d, 50)
+    else:
+        nodes = rng.integers(0, n, size=(50, d))
+        mu = measure_from_atoms(-2.0 + grid.spacing * nodes, rng.uniform(0.1, 1.0, 50))
+    assert (spectral._lattice_indices(mu, grid) is None) == spread
+    f = rng.normal(size=mu.n_atoms)
+    full = measure_fourier(f, mu, grid).values[..., :n // 2]
+    half = spectral.Spectrum(f, mu, grid)._halves[0][..., :n // 2]
+    sign = 1.0 - 2.0 * (np.indices(half.shape).sum(axis=0) % 2)
+    assert np.array_equal(full, half * sign)
 
 
 @st.composite
