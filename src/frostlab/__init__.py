@@ -113,7 +113,6 @@ from .counterexamples import (
 from .wave3d import (
     BlowupReport,
     PointwiseReport,
-    WaveField,
     blowup_probe,
     gaussian_wave_target,
     pointwise_limit_fit,

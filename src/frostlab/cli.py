@@ -554,9 +554,15 @@ def _run_wave(r: _Reader, args, out: Path) -> int:
         t = r.get("t", 0.4)
         z = r.get("slice_z", 0.0)
         r.done()
+        axis = grid.space_axis()
+        if not axis[0] <= z <= -axis[0]:
+            raise DomainError(f"slice height {z} outside the box")
         u = wave_solution(f, mu, t, grid)
-        u.save_binary(out / "field.bin")
-        _write_csv(out / "slice.csv", u.slice_csv_rows(z))
+        save_field_binary(u, out / "field.bin")
+        # the constant-z plane nearest the requested height
+        k = int(np.argmin(np.abs(axis - z)))
+        _write_csv(out / "slice.csv",
+                   _plane_csv_rows("x,y,u", axis, (u.values[:, :, k],)))
         print(f"wave: solution at t={t} sup"
               f" {float(np.abs(u.values).max()):.6g} -> {out}")
         return 0
@@ -594,6 +600,11 @@ _HANDLERS = {
 }
 
 
+# the subcommands that run an FFT, the only ones --threads acts on
+_FFT_COMMANDS = ("fourier", "strichartz", "avg", "maximal", "opnorm", "growth",
+                 "wave", "suite")
+
+
 def _seed_type(text: str) -> int:
     value = int(text)
     if not (0 <= value < 2 ** 64):
@@ -610,8 +621,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run seed (default 0)")
     common.add_argument("--out", metavar="DIR", default=".",
                         help="artifact directory (default .)")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="cap FFT worker threads")
     parser = argparse.ArgumentParser(
         prog="frostlab",
         description="Spherical averaging experiments over fractal measures.")
@@ -621,6 +630,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                 metavar="SUBCOMMAND")
     for name in _HANDLERS:
         sub.add_parser(name, parents=[common])
+    for name in _FFT_COMMANDS:
+        sub.choices[name].add_argument("--threads", type=int, metavar="N",
+                                       help="cap FFT worker threads")
     sub.choices["suite"].add_argument("--quick", action="store_true",
                                       help="trim the slowest suite fixtures")
     return parser
@@ -631,7 +643,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     before = None  # the files in --out before this run, once it exists
     try:
-        if args.threads is not None:
+        if getattr(args, "threads", None) is not None:
             if args.threads < 1:
                 raise ConfigError("threads", "must be a positive integer")
             set_fft_workers(args.threads)

@@ -350,6 +350,8 @@ def frostman_fit(mu: DiscreteMeasure, n_probes: int = 256,
     lower_regular is set when the lower envelope fits a slope within 0.15 of
     the upper one, i.e. the measure looks Ahlfors-David regular at these scales.
     """
+    if n_probes < 1:
+        raise ParameterError(f"n_probes must be at least 1, got {n_probes}")
     if r_max is None:
         diam = mu.support_diameter()
         if diam <= 0:

@@ -86,13 +86,14 @@ def kernel_matrix_handle(kernel: Callable, mu: DiscreteMeasure,
 
 
 def grid_operator_handle(op: Callable, nu: DiscreteMeasure) -> LinearOperatorHandle:
-    """Wrap a grid-field-returning callable, sampling its real part at nu atoms.
+    """Wrap a callable that returns a space-side grid field, sampled at nu's
+    atoms.
 
     No adjoint: grid operators feed the witness families, not the power
     iteration.
     """
     def apply(f):
-        return field_at_points(op(f), nu.atoms).real
+        return field_at_points(op(f), nu.atoms)
 
     return LinearOperatorHandle(apply=apply, adjoint=None)
 

@@ -135,8 +135,8 @@ def spherical_average(f, mu: DiscreteMeasure, t: float,
 
     T_lambda with lambda the probability measure on the radius-t sphere:
     transform of the weighted measure, damped by the sphere multiplier at
-    dilation t and a Gaussian mollifier, inverted to the space side.  The
-    values are float64 for real f and complex128 for complex f.
+    dilation t and a Gaussian mollifier, inverted to the space side, in
+    float64.
     """
     _check_t(t, grid)
     base = sphere_multiplier(grid.dim)
@@ -158,7 +158,7 @@ def quadrature_spherical_average(f, mu: DiscreteMeasure, t: float,
     axes = [grid.space_axis()] * grid.dim
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    out = np.zeros(pts.shape[0], dtype=np.complex128)
+    out = np.zeros(pts.shape[0])
     chunk = _QUADRATURE_CHUNK
     for lo in range(0, mu.n_atoms, chunk):
         dist = cdist(pts, mu.atoms[lo:lo + chunk])

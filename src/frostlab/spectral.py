@@ -28,12 +28,11 @@ box or grid builds a new one.  A plan costs 12 bytes per kernel value,
 12 * 14^d bytes per atom; one is kept only up to 2^22 values (about
 48 MB), and larger problems spread each transform afresh.
 
-Both routes run one rfftn of a real grid: a complex f is two real
-transforms, by linearity.  `Spectrum`, which the operators go through,
-keeps that rfftn half lattice and evaluates each radial multiplier on a
-1-d table of the radii sqrt(K2) * freq_step, K2 = |k|^2 an integer,
-gathered by K2.  `measure_fourier` reads the full lattice from the same
-real spectrum.
+f is real, so both routes run one rfftn of a real grid.  `Spectrum`,
+which the operators go through, keeps that rfftn half lattice and
+evaluates each radial multiplier on a 1-d table of the radii
+sqrt(K2) * freq_step, K2 = |k|^2 an integer, gathered by K2.
+`measure_fourier` reads the full lattice from the same real spectrum.
 """
 
 from __future__ import annotations
@@ -140,9 +139,9 @@ class ComplexField:
     """Values on a spectral grid, in space or frequency representation.
 
     Frequency-side values are complex128.  Space-side values are float64
-    when the field is real (Spectrum.apply and the operators on real f,
-    maximal_function always) and complex128 otherwise; readers that want
-    both parts take values.real and values.imag, which is 0 for float64."""
+    from Spectrum.apply and every operator, and complex128 from to_space;
+    readers that want both parts take values.real and values.imag, which
+    is 0 for float64."""
 
     grid: SpectralGrid
     values: np.ndarray
@@ -165,6 +164,9 @@ def _atom_values(f, mu: DiscreteMeasure) -> np.ndarray:
         vals = np.asarray(f(mu.atoms))
     else:
         vals = np.asarray(f)
+    if np.iscomplexobj(vals):
+        raise ParameterError(
+            "f must be real; transform its real and imaginary parts separately")
     if vals.shape != (mu.n_atoms,):
         raise ParameterError("f must give one value per atom")
     if not np.all(np.isfinite(vals)):
@@ -198,12 +200,14 @@ def _check_in_box(mu: DiscreteMeasure, grid: SpectralGrid):
 
 
 def _lattice_indices(mu: DiscreteMeasure, grid: SpectralGrid):
-    """Integer lattice coordinates when every atom is on a grid node, else None."""
+    """Integer lattice coordinates when every atom is on a grid node, else
+    None.  An atom just below L rounds to node n, which is node 0 of the
+    periodic lattice the transform sees."""
     scaled = (mu.atoms + grid.box_half_width) / grid.spacing
     idx = np.round(scaled)
     if np.max(np.abs(scaled - idx)) > 1e-9:
         return None
-    return idx.astype(np.int64)
+    return idx.astype(np.int64) % grid.n_per_axis
 
 
 def _es_kernel(z: np.ndarray) -> np.ndarray:
@@ -380,15 +384,11 @@ def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> ComplexField:
     14 points per axis and 2x oversampling evaluates the same sum to within
     1e-11 of the largest transform modulus.  Measured worst cases: 1.4e-12
     for one atom in d = 3, where the errors of the three axes add up, and
-    7e-13 on 300-atom fixtures with signed or complex f.  Complex f is two
-    real transforms, by linearity.
+    7e-13 on 300-atom fixtures with signed f.
     """
     _check_in_box(mu, grid)
     c = _atom_values(f, mu) * mu.weights
-    values = _transform(c.real, mu, grid, False)
-    if np.iscomplexobj(c):
-        values += 1j * _transform(c.imag, mu, grid, False)
-    return ComplexField(grid, values, "freq")
+    return ComplexField(grid, _transform(c, mu, grid, False), "freq")
 
 
 def to_space(field: ComplexField) -> ComplexField:
@@ -469,10 +469,10 @@ class Spectrum:
     own finite origin value, as riesz_multiplier does.
 
     Real f dmu has a Hermitian transform, so the half lattice (last axis
-    0..n/2) holds all of it; complex f is two real transforms, by
-    linearity.  The transform keeps its origin at the box corner, because
-    the sign (-1)^k that measure_fourier applies cancels in the inverse.
-    energy counts each half-lattice point for itself and its mirror -k.
+    0..n/2) holds all of it.  The transform keeps its origin at the box
+    corner, because the sign (-1)^k that measure_fourier applies cancels
+    in the inverse.  energy counts each half-lattice point for itself and
+    its mirror -k.
 
     The half lattice differs from measure_fourier's on the Nyquist planes
     only: it has the mode +n/2 where that has -n/2, and the real inverse
@@ -485,10 +485,8 @@ class Spectrum:
 
     def __init__(self, f, mu: DiscreteMeasure, grid: SpectralGrid):
         _check_in_box(mu, grid)
-        c = _atom_values(f, mu) * mu.weights
-        parts = (c.real, c.imag) if np.iscomplexobj(c) else (c,)
         self.grid = grid
-        self._halves = [_transform(p, mu, grid, True) for p in parts]
+        self._half = _transform(_atom_values(f, mu) * mu.weights, mu, grid, True)
         self._keys, self._radii = _radius_keys(grid)
 
     def _table(self, profile) -> np.ndarray:
@@ -519,16 +517,15 @@ class Spectrum:
 
     @cached_property
     def _power(self) -> np.ndarray:
-        return self._lattice_hist(sum(h.real**2 + h.imag**2 for h in self._halves))
+        return self._lattice_hist(self._half.real**2 + self._half.imag**2)
 
     def apply(self, profile) -> ComplexField:
-        """Space-side field of the transform times profile(|xi|): float64
-        values for real f, complex128 built from the two real parts for
-        complex f.
+        """Space-side field of the transform times profile(|xi|), in
+        float64.
 
         The inverse runs in the stages irfftn runs: an unnormalised complex
         inverse over axes 0..d-2, in place on the product, a real inverse
-        along the last axis, then the one factor 1/n^d.  So each part is
+        along the last axis, then the one factor 1/n^d.  So the field is
         irfftn's result bit for bit, subnormals included, without irfftn's
         complex temporary: the peak is the product plus the real output."""
         import scipy.fft
@@ -536,21 +533,13 @@ class Spectrum:
         g = self.grid
         n, d = g.n_per_axis, g.dim
         table = self._table(profile) * (n * g.freq_step) ** d
-        parts = []
-        for h in self._halves:
-            x = h * table[self._keys]
-            if d > 1:
-                x = scipy.fft.ifftn(x, axes=tuple(range(d - 1)), norm="forward",
-                                    workers=_fft_workers, overwrite_x=True)
-            part = scipy.fft.irfft(x, n=n, norm="forward", workers=_fft_workers,
-                                   overwrite_x=True)
-            del x  # free the half lattice before the next product
-            part *= 1.0 / n**d
-            parts.append(part)
-        if len(parts) == 1:
-            return ComplexField(g, parts[0], "space")
-        values = np.empty(parts[0].shape, dtype=np.complex128)
-        values.real, values.imag = parts
+        x = self._half * table[self._keys]
+        if d > 1:
+            x = scipy.fft.ifftn(x, axes=tuple(range(d - 1)), norm="forward",
+                                workers=_fft_workers, overwrite_x=True)
+        values = scipy.fft.irfft(x, n=n, norm="forward", workers=_fft_workers,
+                                 overwrite_x=True)
+        values *= 1.0 / n**d
         return ComplexField(g, values, "space")
 
     def energy(self, profile) -> float:

@@ -195,7 +195,7 @@ def _gaussian_probe_gap() -> float:
     ii = np.array([56, 60, 64, 68, 72])
     probes = np.stack(np.meshgrid(ax[ii], ax[ii], ax[ii], indexing="ij"),
                       axis=-1).reshape(-1, 3)
-    got = field_at_points(out, probes).real
+    got = field_at_points(out, probes)
     r = np.linalg.norm(probes, axis=1)
     x1 = 2.0 * ap * t * r
     ref = (1.0 + 2.0 * a * eps * eps) ** -1.5 \

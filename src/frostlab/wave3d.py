@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .exponents import blowup_dim_fixed_time
 from .fitting import FitReport, loglog_fit
 from .measures import DiscreteMeasure, lebesgue_box_measure
@@ -27,17 +27,9 @@ from .operators import (
     sphere_multiplier,
     spherical_average,
 )
-from .spectral import (
-    ComplexField,
-    SpectralGrid,
-    Spectrum,
-    _plane_csv_rows,
-    mollifier_hat,
-    save_field_binary,
-)
+from .spectral import ComplexField, SpectralGrid, Spectrum, mollifier_hat
 
 __all__ = [
-    "WaveField",
     "wave_solution",
     "PointwiseReport",
     "pointwise_limit_fit",
@@ -48,46 +40,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WaveField:
-    """Real solution snapshot u(., t) on a d=3 spectral grid."""
-
-    grid: SpectralGrid
-    t: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.grid.dim != 3:
-            raise ParameterError("wave fields live on d=3 grids")
-        n = self.grid.n_per_axis
-        if self.values.shape != (n, n, n):
-            raise ParameterError("field shape does not match grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ParameterError("wave field contains non-finite values")
-
-    def save_binary(self, path) -> None:
-        save_field_binary(ComplexField(self.grid, self.values, "space"), path)
-
-    def slice_csv_rows(self, z: float):
-        """Rows x,y,u of the constant-z plane nearest the requested height."""
-        axis = self.grid.space_axis()
-        if not (axis[0] <= z <= -axis[0]):
-            raise DomainError(f"slice height {z} outside the box")
-        k = int(np.argmin(np.abs(axis - z)))
-        return _plane_csv_rows("x,y,u", axis, (self.values[:, :, k],))
-
-
 def wave_solution(f, mu: DiscreteMeasure, t: float,
-                  grid: SpectralGrid) -> WaveField:
-    """Snapshot u(., t) = t * (radius-t spherical average of f d(mu))."""
+                  grid: SpectralGrid) -> ComplexField:
+    """Snapshot u(., t) = t * (radius-t spherical average of f d(mu)), a
+    float64 space-side field."""
     if grid.dim != 3:
         raise ParameterError(f"wave evolution needs a d=3 grid, got d={grid.dim}")
-    avg = spherical_average(f, mu, t, grid)
-    # real f gives a fresh float64 field, scaled in place; complex f keeps
-    # its real part, copied once
-    u = np.ascontiguousarray(avg.values.real)
-    u *= float(t)
-    return WaveField(grid, float(t), u)
+    u = spherical_average(f, mu, t, grid)
+    u.values *= float(t)  # a fresh field, scaled in place
+    if not np.all(np.isfinite(u.values)):
+        raise ParameterError("wave field contains non-finite values")
+    return u
 
 
 # ---- small-time pointwise limit ----
@@ -138,12 +101,12 @@ def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
         _check_t(t, grid)
     eps = default_mollify_eps(grid)
     spec = Spectrum(f, mu, grid)
-    target = spec.apply(lambda rho: mollifier_hat(eps * rho)).values.real
+    target = spec.apply(lambda rho: mollifier_hat(eps * rho)).values
     base = sphere_multiplier(3)
     errors = []
     for t in t_arr:
         sp = spec.apply(lambda rho: base(t * rho) * mollifier_hat(eps * rho))
-        errors.append(float(np.max(np.abs(sp.values.real - target))))
+        errors.append(float(np.max(np.abs(sp.values - target))))
     fit = loglog_fit(t_arr, errors)
     return PointwiseReport(times=t_arr, errors=tuple(errors), fit=fit)
 

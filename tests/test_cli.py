@@ -140,8 +140,25 @@ def test_runtime_domain_error_exits_3(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_probes", [0, -3])
+def test_too_few_frostman_probes_exits_3(tmp_path, capsys, n_probes):
+    cfg = _cfg(tmp_path, "c.json", {"experiment": "gen-measure",
+                                    "frostman": {"n_probes": n_probes}})
+    rc = main(["gen-measure", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "n_probes" in capsys.readouterr().err
+
+
 def test_bad_threads_exits_3(tmp_path):
-    assert main(["exponents", "--threads", "0", "--out", str(tmp_path)]) == 3
+    assert main(["avg", "--threads", "0", "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("command",
+                         sorted(set(cli._HANDLERS) - set(cli._FFT_COMMANDS)))
+def test_threads_is_an_fft_flag_only(tmp_path, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--threads", "2", "--out", str(tmp_path)])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("command", sorted(set(cli._HANDLERS) - {"suite"}))

@@ -35,10 +35,13 @@ from frostlab.operators import (
 from frostlab.spectral import (
     SpectralGrid,
     Spectrum,
+    direct_fourier,
     field_at_points,
     field_l2sq,
     lowpass_phi_hat,
+    measure_fourier,
 )
+from frostlab.wave3d import wave_solution
 
 G2_256 = SpectralGrid(2, 256, 2.0)
 G2_512 = SpectralGrid(2, 512, 2.0)
@@ -72,10 +75,9 @@ def atom_cases(draw, box_half_width):
 def test_spherical_average_is_linear_in_f(case, t, data):
     grid, mu = case
     values = hnp.arrays(np.float64, mu.n_atoms, elements=st.floats(-1.0, 1.0))
-    f, g_re, g_im = (data.draw(values) for _ in range(3))
-    g = g_re + 1j * g_im
+    f, g = (data.draw(values) for _ in range(2))
     coef = st.floats(-10.0, 10.0)
-    a, b = data.draw(coef), complex(data.draw(coef), data.draw(coef))
+    a, b = data.draw(coef), data.draw(coef)
     got = spherical_average(a * f + b * g, mu, t, grid).values
     want = (a * spherical_average(f, mu, t, grid).values
             + b * spherical_average(g, mu, t, grid).values)
@@ -108,6 +110,36 @@ def grid_points(grid):
     ax = grid.space_axis()
     mesh = np.meshgrid(*([ax] * grid.dim), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+# ---- real f only ----
+
+# a 3-d box wide enough for every route: maximal radii reach 2 = L / 2
+G3_8 = SpectralGrid(3, 8, 4.0)
+BOX3 = lebesgue_box_measure(3, 0.5, 2)
+REAL_F_ROUTES = {
+    "measure_fourier": lambda f: measure_fourier(f, BOX3, G3_8),
+    "Spectrum": lambda f: Spectrum(f, BOX3, G3_8),
+    "spherical_average": lambda f: spherical_average(f, BOX3, 0.5, G3_8),
+    "maximal_function": lambda f: maximal_function(f, BOX3, [1.0, 2.0], G3_8),
+    "quadrature_spherical_average":
+        lambda f: quadrature_spherical_average(f, BOX3, 0.5, G3_8),
+    "direct_fourier": lambda f: direct_fourier(f, BOX3, np.zeros((1, 3))),
+    "wave_solution": lambda f: wave_solution(f, BOX3, 0.5, G3_8),
+}
+COMPLEX_F = {
+    "array": np.full(BOX3.n_atoms, 1.0 + 0.5j),
+    "callable": lambda x: np.exp(1j * x[:, 0]),
+}
+
+
+@pytest.mark.parametrize("f", COMPLEX_F.values(), ids=COMPLEX_F.keys())
+@pytest.mark.parametrize("route", REAL_F_ROUTES.values(), ids=REAL_F_ROUTES.keys())
+def test_complex_f_is_refused(route, f):
+    with pytest.raises(ParameterError) as err:
+        route(f)
+    assert str(err.value) == (
+        "f must be real; transform its real and imaginary parts separately")
 
 
 # ---- radial multipliers ----

@@ -1,8 +1,11 @@
 """Wave module tests: closed-form oracles, small-time order, blowup probe."""
 
+import json
+
 import numpy as np
 import pytest
 
+from frostlab.cli import main
 from frostlab.errors import DomainError, ParameterError
 from frostlab.measures import (
     cantor_measure,
@@ -10,9 +13,8 @@ from frostlab.measures import (
     product_measure,
 )
 from frostlab.norms import grid_operator_handle, lp_norm, opnorm_lower
-from frostlab.spectral import ComplexField, SpectralGrid, load_field_binary
+from frostlab.spectral import SpectralGrid, load_field_binary
 from frostlab.wave3d import (
-    WaveField,
     blowup_probe,
     gaussian_wave_target,
     pointwise_limit_fit,
@@ -57,7 +59,6 @@ def interior_mask(grid, margin):
 def test_constant_data_gives_u_equals_t(grid128, mu_lattice):
     t = 0.4
     u = wave_solution(lambda pts: np.ones(len(pts)), mu_lattice, t, grid128)
-    assert u.t == t
     eps = 2.0 / grid128.freq_max
     inside = interior_mask(grid128, 1.5 - t - 4 * eps)
     assert inside.sum() > 10_000
@@ -81,10 +82,7 @@ def test_wave_solution_is_linear(grid32, mu_small):
     uc = wave_solution(2.0 * f - 0.5 * g, mu_small, 0.5, grid32).values
     scale = np.max(np.abs(uc))
     assert np.max(np.abs(uc - (2.0 * ua - 0.5 * ub))) <= 1e-12 * scale
-    # complex data: the real part, scaled by t, as for real data
-    uz = wave_solution(f + 1j * g, mu_small, 0.5, grid32).values
-    assert ua.dtype == uz.dtype == np.float64 and uz.flags.c_contiguous
-    assert np.array_equal(uz, ua)
+    assert ua.dtype == np.float64 and ua.flags.c_contiguous
 
 
 def test_wave_solution_validation(grid32, mu_small):
@@ -93,6 +91,14 @@ def test_wave_solution_validation(grid32, mu_small):
         wave_solution(lambda p: np.ones(len(p)), mu_small, 0.5, grid2)
     with pytest.raises(DomainError):
         wave_solution(lambda p: np.ones(len(p)), mu_small, 1.5, grid32)
+
+
+def test_wave_solution_rejects_non_finite_values(grid32, mu_small):
+    # finite data this large overflow the transform's scaling to inf
+    huge = np.full(mu_small.n_atoms, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ParameterError, match="non-finite"):
+            wave_solution(huge, mu_small, 0.5, grid32)
 
 
 # ---- small-time pointwise limit ----
@@ -131,38 +137,35 @@ def test_gaussian_target_validation(grid128):
         gaussian_wave_target(0.3, 0.5, grid2)
 
 
-# ---- field container ----
+# ---- field artifacts ----
 
-def test_wave_field_validation(grid32):
-    n = grid32.n_per_axis
-    with pytest.raises(ParameterError):
-        WaveField(grid32, 0.5, np.ones((n, n)))
-    bad = np.ones((n, n, n))
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(ParameterError):
-        WaveField(grid32, 0.5, bad)
-    grid2 = SpectralGrid(dim=2, n_per_axis=32, box_half_width=2.0)
-    with pytest.raises(ParameterError):
-        WaveField(grid2, 0.5, np.ones((32, 32)))
-
-
-def test_slice_csv_and_binary_roundtrip(grid32, mu_small, tmp_path):
-    u = wave_solution(gaussian(0.3), mu_small, 0.5, grid32)
-    rows = u.slice_csv_rows(0.0)
+def test_slice_csv_and_binary_roundtrip(grid32, mu_small, tmp_path, capsys):
+    # `frostlab wave` writes the solution as field.bin and the constant-z
+    # plane nearest slice_z (0.3 here, nearest plane z = 0.25) as slice.csv
+    doc = {"experiment": "wave", "mode": "solution", "t": 0.5, "slice_z": 0.3,
+           "grid": {"dim": 3, "n_per_axis": 32, "box_half_width": 2.0},
+           "measure": {"kind": "lebesgue-box", "d": 3, "half_width": 0.5,
+                       "n_cells": 8},
+           "density": {"kind": "gaussian", "width": 0.3}}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    u = wave_solution(gaussian(0.3), mu_small, 0.5, grid32).values
+    rows = (tmp_path / "a" / "slice.csv").read_bytes().decode().split("\r\n")
     assert rows[0] == "x,y,u"
-    assert len(rows) == 1 + 32 * 32
+    assert len(rows) == 1 + 32 * 32 + 1
     x, y, val = (float(v) for v in rows[1].split(","))
     axis = grid32.space_axis()
-    k = int(np.argmin(np.abs(axis)))
-    assert (x, y) == (axis[0], axis[0])
-    assert val == u.values[0, 0, k]
-    with pytest.raises(DomainError):
-        u.slice_csv_rows(5.0)
-    path = tmp_path / "field.bin"
-    u.save_binary(path)
-    back = load_field_binary(path)
+    k = int(np.argmin(np.abs(axis - 0.3)))
+    assert axis[k] == 0.25
+    assert (x, y, val) == (axis[0], axis[0], u[0, 0, k])
+    back = load_field_binary(tmp_path / "a" / "field.bin")
     assert back.rep == "space"
-    assert np.array_equal(back.values.real, u.values)
+    assert np.array_equal(back.values.real, u)
+    doc["slice_z"] = 5.0
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 3
+    assert "slice height 5.0 outside the box" in capsys.readouterr().err
 
 
 # ---- blowup probing ----
@@ -254,9 +257,8 @@ def test_energy_ratio_consistent_with_certified_lower_bound(grid32, mu_small):
     c = cantor_measure(0.4, 3)
     nu = product_measure([c, c, c])
     grid = SpectralGrid(dim=3, n_per_axis=64, box_half_width=2.0)
-    op = lambda vals: ComplexField(grid, wave_solution(vals, mu_small, 1.0, grid).values,
-                                   "space")
-    handle = grid_operator_handle(op, nu)
+    handle = grid_operator_handle(
+        lambda vals: wave_solution(vals, mu_small, 1.0, grid), nu)
     est = opnorm_lower(handle, mu_small, nu, 2.0, "bumps", seed=7)
     assert 0.05 < est.value < 0.09
     g = gaussian(0.3)(mu_small.atoms)
