@@ -24,6 +24,7 @@ from frostlab.measures import (
     random_ball_measure,
     sphere_measure,
 )
+from frostlab.operators import spherical_average
 from frostlab.spectral import (
     ComplexField,
     SpectralGrid,
@@ -269,6 +270,43 @@ def test_planned_and_streamed_spreads_agree(monkeypatch, d, n):
     assert plans[0] is not None and all(p is plans[0] for p in plans)
 
 
+# a Cantor square on [0, 1)^d in the box [-1, 1)^d: its last atoms sit
+# within one fine cell of L, so the rows their kernels reach wrap to row 0
+WRAP_CASES = [(2, 64), (3, 32)]
+
+
+def wrapping_fields(d, n):
+    grid = SpectralGrid(d, n, 1.0)
+    mu = product_measure([cantor_measure(0.25, 3)] * d)
+    f = np.cos(np.arange(mu.n_atoms))
+    return (measure_fourier(f, mu, grid).values.tobytes(),
+            spherical_average(f, mu, 0.5, grid).values.tobytes())
+
+
+@pytest.mark.parametrize("d, n", WRAP_CASES)
+def test_wrapping_rows_give_the_same_bytes_every_way(monkeypatch, d, n):
+    monkeypatch.setattr(spectral, "_plan_cache", None)
+    planned = wrapping_fields(d, n)
+    occupied = spectral._plan_cache[3]
+    # the kernels of the atoms next to L reach the last rows of each
+    # leading axis and, through the edge, the first; rows between stay empty
+    for rows in occupied:
+        assert rows[0] == 0 and rows[-1] == 2 * n - 1 and rows.size < 2 * n
+    try:
+        set_fft_workers(2)
+        threaded = wrapping_fields(d, n)
+    finally:
+        set_fft_workers(1)
+    # the transform at the same positions reused the cached rows
+    assert spectral._plan_cache[3] is occupied
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_SPREAD_PLAN_ENTRIES", 0)
+        m.setattr(spectral, "_plan_cache", None)
+        streamed = wrapping_fields(d, n)
+        assert spectral._plan_cache is None
+    assert planned == threaded == streamed
+
+
 def _moved_in_place(mu, grid):
     mu.atoms[:, 0] += 0.1
     return mu, grid
@@ -322,8 +360,8 @@ def test_per_grid_tables_are_built_once_and_read_only(d, n):
 @pytest.mark.parametrize("spread", [False, True], ids=["binned", "spread"])
 @pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
 def test_full_lattice_reads_the_half_lattice_spectrum(d, n, spread):
-    # measure_fourier and Spectrum read one rfftn: on the last-axis modes
-    # 0..n/2-1 they differ by the origin's sign (-1)^(k_1+...+k_d) alone
+    # measure_fourier and Spectrum read one real spectrum: on the last-axis
+    # modes 0..n/2-1 they differ by the origin's sign (-1)^(k_1+...+k_d) alone
     grid = SpectralGrid(d, n, 2.0)
     rng = np.random.default_rng(d)
     if spread:
@@ -337,6 +375,79 @@ def test_full_lattice_reads_the_half_lattice_spectrum(d, n, spread):
     half = spectral.Spectrum(f, mu, grid)._half[..., :n // 2]
     sign = 1.0 - 2.0 * (np.indices(half.shape).sum(axis=0) % 2)
     assert np.array_equal(full, half * sign)
+
+
+def reference_transform(c, mu, grid, half):
+    """_transform as one scipy.fft.rfftn of the whole N^d grid (N = n
+    binned, 2n spread), then its reads: the rows k mod N of each leading
+    axis and last-axis columns 0..n/2, or for the full lattice the columns
+    0..n/2-1 and conj F(-k) read at rows (-k) mod N."""
+    n, d, h = grid.n_per_axis, grid.dim, grid.n_per_axis // 2
+    lattice = spectral._lattice_indices(mu, grid)
+    spread = lattice is None
+    if spread:
+        size = 2 * n
+        u = (mu.atoms + grid.box_half_width) / (2.0 * grid.box_half_width)
+        every_row = (np.arange(size),) * (d - 1)
+        values = spectral._spread_es(c, u, size, every_row)
+    else:
+        size = n
+        flat = np.ravel_multi_index(tuple(lattice.T), (n,) * d)
+        values = np.bincount(flat, weights=c, minlength=n**d).reshape((n,) * d)
+    spec = scipy.fft.rfftn(values)
+    if half and not spread:
+        return spec
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    rows = np.ix_(*[k % size] * (d - 1))
+    if half:
+        central = spec[..., :h + 1][rows]
+    else:
+        central = np.empty((n,) * d, dtype=np.complex128)
+        central[..., :h] = spec[..., :h][rows]
+        central[..., h:] = np.conj(spec[..., h:0:-1][np.ix_(*[-k % size] * (d - 1))])
+    for factor in spectral._mode_factors(grid, half, spread):
+        central *= factor
+    return central
+
+
+@st.composite
+def transform_cases(draw):
+    """A small grid in d = 1, 2, 3 and up to 12 atoms, on grid nodes
+    (binned) or off them (spread), with signed strengths.  Coordinates are
+    drawn in grid cells from -L; some fall within 7 fine cells (3.5 grid
+    cells) of either edge, so the occupied rows wrap across it.  With fill,
+    a diagonal of atoms, one per grid cell, occupies every row of every
+    axis."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([8, 16, 32]))
+    grid = SpectralGrid(d, n, 2.0)
+    cell = st.one_of(st.floats(0.0, n - 1e-6), st.floats(0.0, 3.5),
+                     st.floats(n - 3.5, n - 1e-6))
+    cells = draw(hnp.arrays(np.float64, (draw(st.integers(1, 12)), d),
+                            elements=cell))
+    fill = draw(st.booleans())
+    if fill:
+        cells = np.vstack([cells, np.repeat(np.arange(n + 0.0)[:, None], d, axis=1)])
+    spread = draw(st.booleans())
+    # off the nodes, one atom sits 0.3 cells from one, so the spread is taken
+    cells = np.vstack([cells + 0.5, np.full((1, d), 0.3)]) if spread else np.floor(cells)
+    cells %= n
+    mu = measure_from_atoms(-2.0 + grid.spacing * cells, np.ones(cells.shape[0]))
+    assert (spectral._lattice_indices(mu, grid) is None) == spread
+    c = draw(hnp.arrays(np.float64, mu.n_atoms, elements=st.floats(-1.0, 1.0)))
+    return grid, mu, c
+
+
+@PROPERTY
+@given(transform_cases(), st.booleans())
+def test_pruned_transform_is_rfftn_bit_for_bit(case, half):
+    # the pruned forward transform runs rfftn's 1-d transforms in rfftn's
+    # order on the occupied rows and the kept modes only, so every byte
+    # agrees, signed zeros included
+    grid, mu, c = case
+    got = spectral._transform(c, mu, grid, half)
+    want = reference_transform(c, mu, grid, half)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -471,6 +582,19 @@ def test_atoms_just_below_L_bin_as_their_periodic_image(d):
         oracle = direct_fourier(None, mu, k * grid.freq_step)
         gap = np.max(np.abs(field.ravel() - oracle)) / np.max(np.abs(oracle))
         assert gap <= 1e-11, (axis, x)
+
+
+def test_atoms_off_a_node_by_1e_9_cells_are_spread():
+    # binning would move such an atom by its offset, a phase error of
+    # pi * 1e-9 of max |F| at freq_max; atoms within 1e-12 cells are binned
+    grid = SpectralGrid(2, 256, 2.0)
+    mu = measure_from_atoms(np.array([[0.9e-9 * grid.spacing, 0.0]]), np.array([1.0]))
+    assert spectral._lattice_indices(mu, grid) is None
+    k = np.stack(np.meshgrid(*[np.fft.fftfreq(256, 1.0 / 256)] * 2, indexing="ij"),
+                 axis=-1).reshape(-1, 2)
+    field = measure_fourier(None, mu, grid).values
+    oracle = direct_fourier(None, mu, k * grid.freq_step)
+    assert np.max(np.abs(field.ravel() - oracle)) / np.max(np.abs(oracle)) <= SPREAD_TOL
 
 
 def test_measure_outside_box_rejected():
