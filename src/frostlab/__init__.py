@@ -22,11 +22,9 @@ from .measures import (
     DiscreteMeasure,
     EnergyReport,
     FrostmanReport,
-    annulus_pair_mass,
     annulus_pair_profile,
     ball_mass,
     cantor_measure,
-    chain_triple_mass,
     chain_triple_profile,
     energy_integral,
     frostman_fit,
@@ -80,7 +78,6 @@ from .norms import (
     certify,
     evaluate_witnesses,
     grid_operator_handle,
-    growth_rate,
     kernel_matrix_handle,
     lp_norm,
     matrix_operator_handle,

@@ -39,7 +39,7 @@ from .errors import (
     ResourceError,
 )
 from .exponents import maximal_interval
-from .fitting import FitReport
+from .fitting import FitReport, log2_fit
 from .measures import (
     cantor_measure,
     frostman_fit,
@@ -54,7 +54,6 @@ from .measures import (
 from .norms import (
     FAMILIES,
     grid_operator_handle,
-    growth_rate,
     opnorm_lower,
     witness_csv_rows,
 )
@@ -264,13 +263,12 @@ def _build_measure(r: _Reader, seed: int, key: str = "measure",
 
 def _build_density(r: _Reader, wave: bool = False):
     """The density f, None for the constant 1.  A missing or null section
-    is kind "one", which a wave run reads as the 0.35-width Gaussian."""
-    d = r.section("density", None) or r.section("density", {"kind": "one"})
+    is the default kind: the 0.35-width Gaussian for a wave run, "one"
+    otherwise."""
+    default = {"kind": "gaussian" if wave else "one"}
+    d = r.section("density", None) or r.section("density", default)
     if d.choice("kind", ("one", "gaussian")) == "one":
-        if not wave:
-            return None
-        d = r.section("density", {"kind": "gaussian"})
-        d.get("kind", str)
+        return None
     width = d.get("width", 0.35)
     if not width > 0:
         raise ConfigError("density.width", f"must be positive, got {width}")
@@ -457,7 +455,7 @@ def _run_growth(r: _Reader, args, out: Path) -> int:
     js = np.asarray(r.get("j_values", [2, 3, 4, 5, 6]), dtype=int)
     r.done()
     norms = sphere_l2_profile(f, mu, grid, js)
-    fit = growth_rate(js, norms)
+    fit = log2_fit(js, norms)
     rows = ["j,norm"]
     for j, nrm in zip(js, norms):
         rows.append(f"{int(j)},{float(nrm)!r}")

@@ -25,7 +25,6 @@ from .errors import ParameterError, ResourceError
 from .exponents import blowup_dim_fixed_time
 from .fitting import FitReport, line_fit, log2_fit, loglog_fit
 from .measures import (
-    DiscreteMeasure,
     _sphere_area,
     cantor_measure,
     measure_from_atoms,
@@ -269,22 +268,18 @@ class MattilaReport:
         }
 
 
-def _line_fractal(dim_value: float, cell_floor: float, depth_override):
-    """Self-similar factor of the requested dimension on [0,1], resolved
-    below cell_floor.  Dimension 0 degenerates to the endpoint pair."""
+def _line_fractal(dim_value: float, cell_floor: float):
+    """Self-similar factor of the requested dimension on [0,1], at the
+    least depth that resolves cell_floor.  Dimension 0 degenerates to the
+    endpoint pair."""
     if dim_value == 0.0:
         mu = measure_from_atoms(
             np.array([[0.0], [1.0]]), np.array([0.5, 0.5]),
             nominal_s=0.0, construction="endpoint-pair", resolution=1.0)
         return mu, 0
     ratio = 2.0 ** (-1.0 / dim_value)
-    need = max(1, math.ceil(math.log(1.0 / cell_floor)
-                            / math.log(1.0 / ratio)))
-    depth = need if depth_override is None else int(depth_override)
-    if depth < need:
-        raise ResourceError(
-            f"factor depth {depth} does not resolve the smallest eps; "
-            f"need depth {need}")
+    depth = max(1, math.ceil(math.log(1.0 / cell_floor)
+                             / math.log(1.0 / ratio)))
     if depth > _MAX_FACTOR_DEPTH:
         raise ResourceError(
             f"required factor depth {depth} exceeds cap {_MAX_FACTOR_DEPTH}; "
@@ -292,8 +287,8 @@ def _line_fractal(dim_value: float, cell_floor: float, depth_override):
     return cantor_measure(ratio, depth), depth
 
 
-def mattila_example(d: int, alpha: float, beta: float, p: float, eps_list,
-                    depth=None) -> MattilaReport:
+def mattila_example(d: int, alpha: float, beta: float, p: float,
+                    eps_list) -> MattilaReport:
     """Mass of the tangent annulus band |dist(x,y) - x_d| <= eps against the
     weight |y_d|^(-beta/p), on the product of horizontal dimension-alpha
     factors with a vertical dimension-beta factor.
@@ -303,6 +298,8 @@ def mattila_example(d: int, alpha: float, beta: float, p: float, eps_list,
     minus one) gives the lower-bound exponent for the maximal operator.
     Probes sit on the set itself: vertical coordinate at the top atom so the
     sphere through the origin-side tangent point stays inside the box.
+    Each factor takes the least depth that resolves the smallest eps: a
+    quarter of its square root horizontally, a quarter of it vertically.
     """
     _check_dim(d)
     for name, val in (("alpha", alpha), ("beta", beta)):
@@ -321,15 +318,8 @@ def mattila_example(d: int, alpha: float, beta: float, p: float, eps_list,
         raise ParameterError("eps_list must be a nontrivial geometric ladder")
     eps_min = float(eps.min())
 
-    if depth is None:
-        depth_h = depth_v = None
-    elif isinstance(depth, (tuple, list)):
-        depth_h, depth_v = depth
-    else:
-        depth_h = depth_v = depth
-    h_factor, depth_h = _line_fractal(alpha, 0.25 * math.sqrt(eps_min),
-                                      depth_h)
-    v_factor, depth_v = _line_fractal(beta, 0.25 * eps_min, depth_v)
+    h_factor, depth_h = _line_fractal(alpha, 0.25 * math.sqrt(eps_min))
+    v_factor, depth_v = _line_fractal(beta, 0.25 * eps_min)
     n_total = h_factor.n_atoms ** (d - 1) * v_factor.n_atoms
     if n_total > _MAX_TEST_ATOMS:
         raise ResourceError(
@@ -414,15 +404,16 @@ class RieszDivergenceReport:
         }
 
 
-def riesz_divergence(d: int, s: float, alpha: float, levels: int = 12,
-                     depth=None) -> RieszDivergenceReport:
+def riesz_divergence(d: int, s: float, alpha: float,
+                     levels: int = 12) -> RieszDivergenceReport:
     """Level-by-level shell sums of the order-alpha potential at an atom of
     a dimension-s product test measure.
 
     The per-level contributions scale like 2^(level*(d-s-alpha)); the
     reported slope is their trailing log2 rate, so positive means the
     potential diverges at points of the set and negative means it stays
-    bounded.
+    bounded.  Each Cantor factor takes the least depth that resolves
+    levels + 2 dyadic scales.
     """
     _check_dim(d)
     if not (0.0 < s <= d):
@@ -433,11 +424,7 @@ def riesz_divergence(d: int, s: float, alpha: float, levels: int = 12,
         raise ParameterError(f"levels must be >= 6, got {levels}")
     per_dim = s / d
     ratio = 2.0 ** (-1.0 / per_dim)
-    need = max(1, math.ceil((levels + 2) * per_dim))
-    k = need if depth is None else int(depth)
-    if k < need:
-        raise ResourceError(
-            f"depth {k} does not resolve {levels} levels; need depth {need}")
+    k = max(1, math.ceil((levels + 2) * per_dim))
     if k > _MAX_FACTOR_DEPTH or (2.0 ** k) ** d > _MAX_TEST_ATOMS:
         raise ResourceError(
             f"depth {k} with {d} factors exceeds the atom cap "

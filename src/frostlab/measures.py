@@ -26,15 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError, ParameterError, ResourceError
-from .fitting import FitReport, loglog_fit
+from .errors import FitError, ParameterError, ResourceError
+from .fitting import loglog_fit
 
 _MEASURE_MAGIC = b"FMEAS001"
 
 # pair-scan row blocks hold at most this many float64 distances (4 MB)
 _PAIR_BLOCK = 2**19
 _MAX_ENERGY_ATOMS = 100_000
-_MAX_PRODUCT_ATOMS = 2**25
+_MAX_ATOMS = 2**25
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,21 @@ def measure_from_atoms(atoms, weights, nominal_s=None, construction="custom",
 
 # ---- constructors ----
 
+def _check_atom_count(count: int, what: str) -> None:
+    """Refuse a measure above the atom cap before any array is allocated."""
+    if count > _MAX_ATOMS:
+        raise ResourceError(f"{what} would have {count} atoms (cap {_MAX_ATOMS})")
+
+
+def _node_lattice(d: int, n: int, h: float) -> np.ndarray:
+    """The (n + 1)^d nodes j*h, |j_i| <= n/2, as rows in C order of j."""
+    _check_atom_count((n + 1) ** d, "lattice")
+    half = n // 2
+    axis = np.arange(-half, half + 1) * h
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def cantor_measure(ratio: float, depth: int) -> DiscreteMeasure:
     """Self-similar Cantor measure on [0,1] with two branches of the given ratio.
 
@@ -148,11 +163,7 @@ def product_measure(factors) -> DiscreteMeasure:
         raise ParameterError("product of zero factors")
     if len(factors) == 1:
         return factors[0]
-    count = 1
-    for f in factors:
-        count *= f.n_atoms
-    if count > _MAX_PRODUCT_ATOMS:
-        raise ResourceError(f"product would have {count} atoms (cap {_MAX_PRODUCT_ATOMS})")
+    _check_atom_count(math.prod(f.n_atoms for f in factors), "product")
 
     atoms = factors[0].atoms
     weights = factors[0].weights
@@ -218,10 +229,7 @@ def radial_power_measure(d: int, s: float, grid_n: int,
 
     radius = 0.5 if log_u is not None else 1.0
     h = 2.0 / grid_n
-    half = grid_n // 2
-    axis = np.arange(-half, half + 1) * h
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = _node_lattice(d, grid_n, h)
     r = np.linalg.norm(pts, axis=1)
     keep = r <= radius
     pts, r = pts[keep], r[keep]
@@ -248,6 +256,7 @@ def sphere_measure(d: int, t: float, n_points: int) -> DiscreteMeasure:
         raise ParameterError(f"t must be positive, got {t}")
     if n_points < 64:
         raise ParameterError(f"n_points must be at least 64, got {n_points}")
+    _check_atom_count(n_points, "sphere")
     if d == 2:
         theta = 2.0 * np.pi * np.arange(n_points) / n_points
         pts = t * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -278,12 +287,9 @@ def lebesgue_box_measure(d: int, half_width: float, n_cells: int) -> DiscreteMea
     if not (2 <= n_cells <= 1024) or n_cells % 2:
         raise ParameterError(f"n_cells must be even in [2, 1024], got {n_cells}")
     h = 2.0 * half_width / n_cells
-    half = n_cells // 2
-    axis = np.arange(-half, half + 1) * h
-    w1 = np.ones(axis.size)
+    pts = _node_lattice(d, n_cells, h)
+    w1 = np.ones(n_cells + 1)
     w1[0] = w1[-1] = 0.5
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
     wgrids = np.meshgrid(*([w1] * d), indexing="ij")
     weights = h**d * np.prod(np.stack([w.ravel() for w in wgrids]), axis=0)
     return _finish(pts, weights, nominal_s=float(d), construction="lebesgue_box",
@@ -301,6 +307,7 @@ def random_ball_measure(d: int, n_atoms: int, seed: int,
         raise ParameterError(f"d must be 1, 2 or 3, got {d}")
     if n_atoms < 1:
         raise ParameterError("n_atoms must be positive")
+    _check_atom_count(n_atoms, "random ball")
     rng = np.random.default_rng(seed)
     normals = rng.standard_normal((n_atoms, d))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
@@ -341,34 +348,27 @@ class FrostmanReport:
 
 
 def frostman_fit(mu: DiscreteMeasure, n_probes: int = 256,
-                 r_min: float | None = None, r_max: float | None = None,
                  seed: int = 0) -> FrostmanReport:
     """Estimate the Frostman exponent from ball masses at probe atoms.
 
     Probes are sampled from the atoms (seeded); radii are geometric with
-    ratio 2.  The upper envelope (max mass over probes) is fitted in log-log;
-    lower_regular is set when the lower envelope fits a slope within 0.15 of
-    the upper one, i.e. the measure looks Ahlfors-David regular at these scales.
+    ratio 2, from a quarter of the support diameter down to the atomic
+    resolution or 2^-8 of the top radius, whichever is larger.  The upper
+    envelope (max mass over probes) is fitted in log-log; lower_regular is
+    set when the lower envelope fits a slope within 0.15 of the upper one,
+    i.e. the measure looks Ahlfors-David regular at these scales.
     """
     if n_probes < 1:
         raise ParameterError(f"n_probes must be at least 1, got {n_probes}")
-    if r_max is None:
-        diam = mu.support_diameter()
-        if diam <= 0:
-            raise ParameterError(
-                "single-point support has no default radius range; pass r_max")
-        r_max = diam / 4.0
-    if r_min is None:
-        r_min = max(mu.resolution, r_max / 2.0**8)
-    if mu.resolution > 0 and r_min < mu.resolution:
-        raise ParameterError(
-            f"r_min {r_min} below the atomic resolution {mu.resolution}")
-    if not (0 < r_min < r_max):
-        raise ParameterError("need 0 < r_min < r_max")
-
+    diam = mu.support_diameter()
+    if diam <= 0:
+        raise ParameterError("single-point support has no radius range")
+    r_max = diam / 4.0
+    r_min = max(mu.resolution, r_max / 2.0**8)
     n_rad = int(math.floor(math.log2(r_max / r_min))) + 1
     if n_rad < 3:
-        raise FitError("fewer than 3 dyadic radii between r_min and r_max")
+        raise FitError("fewer than 3 dyadic radii between the atomic"
+                       " resolution and a quarter of the diameter")
     radii = r_max / 2.0 ** np.arange(n_rad)
 
     rng = np.random.default_rng(seed)
@@ -531,22 +531,14 @@ def annulus_pair_profile(mu: DiscreteMeasure, t: float, eps_list) -> np.ndarray:
     return mu.weights @ _annulus_inner(mu, t, eps_list)
 
 
-def annulus_pair_mass(mu: DiscreteMeasure, t: float, eps: float) -> float:
-    """mu x mu mass of ordered pairs with t <= |x - y| <= t + eps."""
-    return float(annulus_pair_profile(mu, t, [eps])[0])
-
-
 def chain_triple_profile(mu: DiscreteMeasure, t: float, eps_list) -> np.ndarray:
-    """chain_triple_mass for several widths in one pass over the pairs.
+    """Chain triple masses for several widths in one pass over the pairs.
 
-    Factorizes through the per-z annulus mass, so the cost stays quadratic.
+    Entry k is the mu^3 mass of triples (x, y, z) with both |x-z| and
+    |y-z| in [t, t+eps_k].  Factorizes through the per-z annulus mass, so
+    the cost stays quadratic.
     """
     return mu.weights @ _annulus_inner(mu, t, eps_list) ** 2
-
-
-def chain_triple_mass(mu: DiscreteMeasure, t: float, eps: float) -> float:
-    """mu^3 mass of triples (x, y, z) with both |x-z| and |y-z| in [t, t+eps]."""
-    return float(chain_triple_profile(mu, t, [eps])[0])
 
 
 # ---- serialization ----

@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import EstimationError, ParameterError
-from .fitting import FitReport, log2_fit
 from .measures import DiscreteMeasure
 from .spectral import field_at_points
 
@@ -31,7 +30,6 @@ __all__ = [
     "opnorm_lower",
     "certify",
     "witness_csv_rows",
-    "growth_rate",
     "FAMILIES",
 ]
 
@@ -245,8 +243,3 @@ def witness_csv_rows(estimate: OpNormEstimate):
     for i, r in enumerate(estimate.ratios):
         rows.append([estimate.family, estimate.seed, i, repr(float(r))])
     return rows
-
-
-def growth_rate(j_values, norms) -> FitReport:
-    """Least-squares slope of log2(norms) against the dyadic index."""
-    return log2_fit(j_values, norms)

@@ -812,16 +812,6 @@ def annulus_energy_profile(f, nu: DiscreteMeasure, grid: SpectralGrid,
                      for j in j_values])
 
 
-def annulus_growth_fit(f, nu: DiscreteMeasure, grid: SpectralGrid,
-                       j_values) -> FitReport:
-    """log2 growth exponent of the annulus energies across j."""
-    j_values = list(j_values)  # read once: a generator would be empty below
-    energies = annulus_energy_profile(f, nu, grid, j_values)
-    if np.any(energies <= 0):
-        raise FitError("nonpositive annulus energy; cannot fit a growth exponent")
-    return line_fit(np.asarray(j_values, dtype=float), np.log2(energies))
-
-
 def _check_annulus(grid: SpectralGrid, j: int) -> None:
     """Annuli start at j = 1, and 2^j * support must fit below freq_max."""
     if j < 1:

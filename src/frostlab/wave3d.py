@@ -146,32 +146,29 @@ _BOX_EPS = (0.125, 0.25, 0.5)
 _BOX_HALF_WIDTH = 2.0
 
 
-def sharpness_family(support_radius: float = _SUPPORT_RADIUS):
+def sharpness_family():
     """Refinement-indexed data whose unit-time solution peaks on a sphere.
 
     Returns (f_family, mu_family, p): the critical radial profile
-    r^-2 / log(1/r) on a half-unit ball, clamped at each grid's cell size
-    so every refinement resolves one more octave of the singularity, with
-    a Lebesgue lattice at the grid pitch, and the boundary exponent p of
-    the profile's integrability.
+    r^-2 / log(1/r) on the ball of radius 1/2, clamped at each grid's cell
+    size so every refinement resolves one more octave of the singularity,
+    with a Lebesgue lattice at the grid pitch, and the boundary exponent p
+    of the profile's integrability.
     """
-    if not 0.0 < support_radius <= 0.5:
-        raise ParameterError(
-            f"support radius must lie in (0, 0.5], got {support_radius}")
 
     def f_family(grid: SpectralGrid):
         floor = grid.spacing
 
         def f(pts):
             r = np.linalg.norm(np.asarray(pts, dtype=np.float64), axis=-1)
-            rc = np.clip(r, floor, support_radius)
+            rc = np.clip(r, floor, _SUPPORT_RADIUS)
             vals = rc ** -2.0 / np.log(1.0 / rc)
-            return np.where(r <= support_radius, vals, 0.0)
+            return np.where(r <= _SUPPORT_RADIUS, vals, 0.0)
 
         return f
 
     def mu_family(grid: SpectralGrid):
-        return lebesgue_box_measure(3, support_radius, grid.n_per_axis // 4)
+        return lebesgue_box_measure(3, _SUPPORT_RADIUS, grid.n_per_axis // 4)
 
     return f_family, mu_family, 1.5
 
@@ -188,8 +185,8 @@ class BlowupReport:
     counts: tuple          # per refinement, one count per box size
     level_dims: tuple      # per-refinement box-dimension fits
     boxdim_estimate: float
-    compare: float | None
-    family_p: float | None
+    compare: float
+    family_p: float
     inconclusive: bool
 
     def csv_rows(self):
@@ -228,73 +225,53 @@ def _box_dimension(mask: np.ndarray, sides, spacing: float):
     return tuple(counts), float(fit.slope)
 
 
-def blowup_probe(f_family, mu, t: float, refinements=(64, 128, 256),
-                 thresholds=None, family_p: float | None = None,
-                 threshold_fraction: float = 0.95,
-                 box_eps=_BOX_EPS) -> BlowupReport:
+def blowup_probe(f_family, mu_family, t: float, family_p: float,
+                 refinements=(64, 128, 256),
+                 threshold_fraction: float = 0.95) -> BlowupReport:
     """Box-dimension estimate of {u(., t) >= threshold} across refinements.
 
-    f_family maps a grid to data values (so singular profiles can sharpen
-    with resolution); mu is a fixed measure or a grid-indexed callable.
-    Box sizes are absolute and shared by every refinement: refining the
-    grid sharpens the field while the observation scales stay put, so the
-    per-refinement estimates can stabilize.  Explicit thresholds must be
-    non-decreasing; by default each refinement thresholds at a fixed
-    fraction of its own maximum.  Every grid spans [-2, 2]^3.  When the
-    last two estimates differ by more than 0.3 the result is flagged
-    inconclusive, not failed.
+    f_family and mu_family map a grid to data values and to the measure
+    (so singular profiles can sharpen with resolution), as the pair
+    sharpness_family returns; family_p is the family's boundary exponent,
+    whose fixed-time blowup dimension is reported as the comparison bound.
+    The box sizes 1/8, 1/4 and 1/2 are absolute and shared by every
+    refinement: refining the grid sharpens the field while the observation
+    scales stay put, so the per-refinement estimates can stabilize.  Each
+    refinement thresholds at a fixed fraction of its own maximum.  Every
+    grid spans [-2, 2]^3.  When the last two estimates differ by more than
+    0.3 the result is flagged inconclusive, not failed.
     """
     refs = tuple(int(n) for n in refinements)
     if len(refs) < 2:
         raise ParameterError("need at least two grid refinements")
     if any(b <= a for a, b in zip(refs, refs[1:])):
         raise ParameterError("refinements must be strictly increasing")
-    eps_levels = tuple(sorted(float(e) for e in box_eps))
-    if len(eps_levels) < 3:
-        raise ParameterError("need at least three box sizes for a slope")
-    if len(set(eps_levels)) != len(eps_levels):
-        raise ParameterError("box sizes must be distinct")
+    # box sides in cells; n / side is 32, 16 or 8, so whole sides tile
     side_table = []
     for n in refs:
-        dx = 2.0 * _BOX_HALF_WIDTH / n
-        sides = []
-        for e in eps_levels:
-            s = e / dx
-            if abs(s - round(s)) > 1e-9 or round(s) < 1:
-                raise ParameterError(
-                    f"box size {e} is not a whole number of grid-{n} cells")
-            if n % round(s):
-                raise ParameterError(f"box size {e} does not tile grid {n}")
-            sides.append(int(round(s)))
-        side_table.append(tuple(sides))
+        sides = tuple(e * n / (2.0 * _BOX_HALF_WIDTH) for e in _BOX_EPS)
+        if not all(s >= 1 and s == int(s) for s in sides):
+            raise ParameterError(f"box sizes {_BOX_EPS} are not whole"
+                                 f" numbers of grid-{n} cells")
+        side_table.append(tuple(int(s) for s in sides))
     if not 0.0 < threshold_fraction < 1.0:
         raise ParameterError(
             f"threshold_fraction must lie in (0, 1), got {threshold_fraction}")
-    tau_given = None
-    if thresholds is not None:
-        tau_given = tuple(float(x) for x in thresholds)
-        if len(tau_given) != len(refs):
-            raise ParameterError("one threshold per refinement required")
-        if any(b < a for a, b in zip(tau_given, tau_given[1:])):
-            raise ParameterError("thresholds must be non-decreasing")
 
     taus, all_counts, dims = [], [], []
-    for r, n in enumerate(refs):
+    for sides, n in zip(side_table, refs):
         grid = SpectralGrid(dim=3, n_per_axis=n, box_half_width=_BOX_HALF_WIDTH)
-        f = f_family(grid)
-        mu_r = mu(grid) if callable(mu) else mu
-        u = wave_solution(f, mu_r, t, grid).values
-        tau = tau_given[r] if tau_given is not None else (
-            threshold_fraction * float(u.max()))
-        counts, dim = _box_dimension(u >= tau, side_table[r], grid.spacing)
+        u = wave_solution(f_family(grid), mu_family(grid), t, grid).values
+        tau = threshold_fraction * float(u.max())
+        counts, dim = _box_dimension(u >= tau, sides, grid.spacing)
         taus.append(tau)
         all_counts.append(counts)
         dims.append(dim)
 
-    compare = None if family_p is None else blowup_dim_fixed_time(3, family_p)
     return BlowupReport(
         t=float(t), refinements=refs, thresholds=tuple(taus),
-        box_eps=eps_levels, box_half_width=_BOX_HALF_WIDTH,
+        box_eps=_BOX_EPS, box_half_width=_BOX_HALF_WIDTH,
         counts=tuple(all_counts), level_dims=tuple(dims),
-        boxdim_estimate=dims[-1], compare=compare, family_p=family_p,
+        boxdim_estimate=dims[-1],
+        compare=blowup_dim_fixed_time(3, family_p), family_p=family_p,
         inconclusive=bool(abs(dims[-1] - dims[-2]) > 0.3))

@@ -4,15 +4,22 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from frostlab import cli, spectral
 from frostlab.cli import main
-from frostlab.measures import cantor_measure, load_measure_json, product_measure
+from frostlab.measures import (
+    cantor_measure,
+    lebesgue_box_measure,
+    load_measure_json,
+    product_measure,
+)
 from frostlab.operators import spherical_average
-from frostlab.spectral import SpectralGrid, set_fft_workers
+from frostlab.spectral import SpectralGrid, load_field_binary, set_fft_workers
+from frostlab.wave3d import wave_solution
 
 
 def _cfg(tmp_path, name, doc):
@@ -125,12 +132,25 @@ def test_invalid_measure_parameter_exits_3(tmp_path, capsys):
 
 
 def test_atom_overflow_exits_4(tmp_path):
-    cfg = _cfg(tmp_path, "c.json", {
-        "experiment": "gen-measure",
-        "measure": {"kind": "product-cantor", "ratio": 0.25, "depth": 13,
-                    "copies": 2}})
-    assert main(["gen-measure", "--config", cfg,
-                 "--out", str(tmp_path)]) == 4
+    # every constructor checks the atom cap before it allocates an array
+    for measure in (
+            {"kind": "product-cantor", "ratio": 0.25, "depth": 13,
+             "copies": 2},
+            {"kind": "random-ball", "d": 2, "n_atoms": 10 ** 12},
+            {"kind": "sphere", "d": 3, "n_points": 10 ** 12},
+            {"kind": "lebesgue-box", "d": 3, "n_cells": 1024},
+            {"kind": "radial-power", "d": 3, "grid_n": 1024}):
+        cfg = _cfg(tmp_path, "c.json", {"experiment": "gen-measure",
+                                        "measure": measure})
+        tracemalloc.start()
+        try:
+            rc = main(["gen-measure", "--config", cfg,
+                       "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 4, measure
+        assert peak < 2 ** 20, (measure, peak)
 
 
 def test_runtime_domain_error_exits_3(tmp_path, capsys):
@@ -260,6 +280,31 @@ def test_wave_solution_slice_artifact(tmp_path):
     assert lines[0] == "x,y,u"
     assert len(lines) == 1 + 32 * 32 + 1
     assert (tmp_path / "field.bin").exists()
+
+
+def test_wave_density_one_is_the_constant(tmp_path):
+    grid = {"dim": 3, "n_per_axis": 32, "box_half_width": 2.0}
+    runs = {}
+    for name, density in (("default", None), ("one", {"kind": "one"}),
+                          ("null", None)):
+        doc = {"experiment": "wave", "mode": "solution", "grid": grid}
+        if name != "default":
+            doc["density"] = density
+        out = tmp_path / name
+        cfg = _cfg(tmp_path, f"{name}.json", doc)
+        assert main(["wave", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs[name] = (load_field_binary(out / "field.bin").values.real,
+                      manifest["config"]["density"])
+    # an absent or null section is the 0.35-width Gaussian
+    assert runs["default"][1] == runs["null"][1] == {"kind": "gaussian",
+                                                    "width": 0.35}
+    assert np.array_equal(runs["default"][0], runs["null"][0])
+    assert runs["one"][1] == {"kind": "one"}
+    mu = lebesgue_box_measure(3, 1.5, 24)
+    u = wave_solution(None, mu, 0.4, SpectralGrid(**grid)).values
+    assert np.array_equal(runs["one"][0], u)
+    assert not np.array_equal(runs["one"][0], runs["default"][0])
 
 
 def test_opnorm_artifacts(tmp_path):

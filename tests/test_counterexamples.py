@@ -233,16 +233,15 @@ def test_annulus_validation():
 
 def test_annulus_depth_overrides_and_resource_errors():
     with pytest.raises(ResourceError):
-        mattila_example(2, 1.0, 0.5, 4.0, EPS_CRITERION, depth=(3, 3))
-    with pytest.raises(ResourceError):
         mattila_example(3, 0.5, 0.5, 4.0,
                         tuple(2.0 ** -k for k in range(14, 20)))
     with pytest.raises(ResourceError):
         mattila_example(2, 1.0, 0.5, 4.0,
                         tuple(2.0 ** -k for k in range(59, 63)))
-    rep = mattila_example(2, 1.0, 0.5, 4.0, SHIPPED_SETS[2][4],
-                          depth=(11, 8))
-    assert (rep.depth_horizontal, rep.depth_vertical) == (11, 8)
+    # the least depths resolving eps = 2^-13: a ratio-1/2 factor below
+    # 2^-8.5 horizontally, a ratio-1/4 factor below 2^-15 vertically
+    rep = mattila_example(2, 1.0, 0.5, 4.0, SHIPPED_SETS[2][4])
+    assert (rep.depth_horizontal, rep.depth_vertical) == (9, 8)
 
 
 def test_annulus_csv_and_json():
@@ -301,8 +300,6 @@ def test_potential_validation():
         riesz_divergence(2, 1.0, 2.0)
     with pytest.raises(ParameterError):
         riesz_divergence(2, 1.0, 1.0, levels=3)
-    with pytest.raises(ResourceError):
-        riesz_divergence(2, 1.0, 1.0, levels=12, depth=3)
     with pytest.raises(ResourceError):
         riesz_divergence(2, 2.0, 1.0, levels=40)
 

@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from frostlab import measures
-from frostlab.errors import ParameterError, ResourceError
+from frostlab.errors import FitError, ParameterError, ResourceError
 from frostlab.fitting import loglog_fit
 from frostlab.measures import (
     DiscreteMeasure,
-    annulus_pair_mass,
     annulus_pair_profile,
     ball_mass,
     cantor_measure,
-    chain_triple_mass,
     chain_triple_profile,
     energy_integral,
     frostman_fit,
@@ -178,13 +176,13 @@ def test_frostman_fit_radial_power():
 
 
 def test_frostman_fit_sphere():
-    rep = frostman_fit(sphere_measure(3, 1.0, 4096), n_probes=128, r_min=0.06)
+    rep = frostman_fit(sphere_measure(3, 1.0, 4096), n_probes=128)
     assert abs(rep.fitted_s - 2.0) <= 0.1
 
 
 def test_frostman_fit_dirac():
-    rep = frostman_fit(dirac(2), n_probes=4, r_min=0.01, r_max=0.5)
-    assert abs(rep.fitted_s) <= 0.05
+    with pytest.raises(ParameterError, match="single-point"):
+        frostman_fit(dirac(2), n_probes=4)
 
 
 def test_frostman_fit_product_additivity():
@@ -198,9 +196,10 @@ def test_frostman_fit_product_additivity():
 
 def test_frostman_fit_errors():
     with pytest.raises(ParameterError):
-        frostman_fit(CANTOR3, r_min=0.5, r_max=0.25)
-    with pytest.raises(ParameterError):
-        frostman_fit(CANTOR3, r_min=CANTOR3.resolution / 10, r_max=0.25)
+        frostman_fit(CANTOR3, n_probes=0)
+    # atoms 0.75 apart at resolution 0.25: no dyadic radius below diam/4
+    with pytest.raises(FitError):
+        frostman_fit(cantor_measure(0.25, 1))
 
 
 # ---- energy_integral ----
@@ -248,10 +247,10 @@ def test_annulus_profile_slope_near_one():
 
 
 def test_annulus_saturation_and_dirac():
-    sat = annulus_pair_mass(BALL, 0.5, 10.0)
+    sat = annulus_pair_profile(BALL, 0.5, [10.0])[0]
     far = annulus_pair_profile(BALL, 0.5, [5.0])[0]
     assert sat == pytest.approx(far)  # everything beyond t is captured
-    assert annulus_pair_mass(dirac(3), 0.5, 0.25) == 0.0
+    assert annulus_pair_profile(dirac(3), 0.5, [0.25])[0] == 0.0
 
 
 def test_chain_triple_slope_near_two():
@@ -262,9 +261,9 @@ def test_chain_triple_slope_near_two():
 
 
 def test_chain_triple_dirac_and_saturation():
-    assert chain_triple_mass(dirac(3), 0.5, 0.25) == 0.0
-    sat = chain_triple_mass(BALL, 0.5, 10.0)
-    pair_sat = annulus_pair_mass(BALL, 0.5, 10.0)
+    assert chain_triple_profile(dirac(3), 0.5, [0.25])[0] == 0.0
+    sat = chain_triple_profile(BALL, 0.5, [10.0])[0]
+    pair_sat = annulus_pair_profile(BALL, 0.5, [10.0])[0]
     assert sat > 0.5 * pair_sat**2 / BALL.total_mass  # Cauchy-Schwarz direction
 
 

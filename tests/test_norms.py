@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from frostlab.errors import EstimationError, FitError, ParameterError
-from frostlab.fitting import FitReport
+from frostlab.fitting import FitReport, log2_fit
 from frostlab.measures import (
     cantor_measure,
     lebesgue_box_measure,
@@ -18,7 +18,6 @@ from frostlab.norms import (
     certify,
     evaluate_witnesses,
     grid_operator_handle,
-    growth_rate,
     kernel_matrix_handle,
     lp_norm,
     matrix_operator_handle,
@@ -190,31 +189,31 @@ def test_riesz_norm_refinement_scaling():
     assert values[0.8][-1] / values[0.8][0] >= 2.0 ** 0.2
 
 
-# ---- growth_rate ----
+# ---- growth rate: log2_fit ----
 
 def test_growth_rate_exact_half_slope():
     j = np.arange(1, 7)
-    rep = growth_rate(j, 2.0 ** (j / 2.0))
+    rep = log2_fit(j, 2.0 ** (j / 2.0))
     assert isinstance(rep, FitReport)
     assert rep.slope == pytest.approx(0.5, abs=1e-12)
     assert rep.residual < 1e-12
 
 
 def test_growth_rate_constant_is_flat():
-    rep = growth_rate(np.arange(5), np.full(5, 3.25))
+    rep = log2_fit(np.arange(5), np.full(5, 3.25))
     assert abs(rep.slope) <= 1e-12
 
 
 def test_growth_rate_needs_three_points():
     with pytest.raises(FitError):
-        growth_rate([1, 2], [1.0, 2.0])
+        log2_fit([1, 2], [1.0, 2.0])
 
 
 def test_growth_rate_on_sphere_l2_suite():
     mu = product_measure([cantor_measure(0.25, 6)] * 2)
     g = SpectralGrid(2, 1024, 2.0)
     js = np.arange(2, 8)
-    rep = growth_rate(js, sphere_l2_profile(None, mu, g, js))
+    rep = log2_fit(js, sphere_l2_profile(None, mu, g, js))
     assert rep.slope >= 0.35
 
 

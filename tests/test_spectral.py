@@ -15,6 +15,7 @@ from scipy.special import j0
 
 from frostlab import spectral
 from frostlab.errors import DomainError, FitError, ParameterError, ResourceError
+from frostlab.fitting import log2_fit
 from frostlab.measures import (
     cantor_measure,
     lebesgue_box_measure,
@@ -30,7 +31,6 @@ from frostlab.spectral import (
     SpectralGrid,
     annulus_beta,
     annulus_energy_profile,
-    annulus_growth_fit,
     beta0,
     decay_fit,
     direct_fourier,
@@ -784,7 +784,7 @@ def test_strichartz_bounded_by_mass_multiple():
 def test_annulus_energy_growth_cantor_square():
     grid = SpectralGrid(2, 1024, 1.0)
     js = range(2, 8)
-    fit = annulus_growth_fit(None, CANTOR4SQ, grid, js)
+    fit = log2_fit(js, annulus_energy_profile(None, CANTOR4SQ, grid, js))
     assert fit.slope <= 1.2  # (d - s) + 0.2
     # parity-resolved slope: the ratio-1/4 set beats with log2-period 2
     even = annulus_energy_profile(None, CANTOR4SQ, grid, [2, 4, 6])
@@ -801,16 +801,17 @@ def test_annulus_energy_zero_f_and_lebesgue_decay():
     def smooth(a):
         return np.exp(-4.0 * np.sum(a**2, axis=1))
 
-    fit = annulus_growth_fit(smooth, leb, grid, range(2, 7))
+    js = range(2, 7)
+    fit = log2_fit(js, annulus_energy_profile(smooth, leb, grid, js))
     assert fit.slope <= 0.1
 
 
 def test_annulus_growth_fit_accepts_a_generator():
     grid = SpectralGrid(2, 256, 1.0)
-    from_list = annulus_growth_fit(None, CANTOR4SQ, grid, [2, 3, 4, 5])
-    from_gen = annulus_growth_fit(None, CANTOR4SQ, grid,
-                                  (j for j in range(2, 6)))
-    assert from_gen == from_list
+    from_list = annulus_energy_profile(None, CANTOR4SQ, grid, [2, 3, 4, 5])
+    from_gen = annulus_energy_profile(None, CANTOR4SQ, grid,
+                                      (j for j in range(2, 6)))
+    assert np.array_equal(from_gen, from_list)
 
 
 # ---- serialization ----

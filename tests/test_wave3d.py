@@ -15,6 +15,7 @@ from frostlab.measures import (
 from frostlab.norms import grid_operator_handle, lp_norm, opnorm_lower
 from frostlab.spectral import SpectralGrid, load_field_binary
 from frostlab.wave3d import (
+    _box_dimension,
     blowup_probe,
     gaussian_wave_target,
     pointwise_limit_fit,
@@ -191,48 +192,35 @@ def test_blowup_probe_sharpness_family():
     assert len(rows) == 1 + 3 * 3
 
 
-def test_blowup_smooth_data_has_empty_superlevel(mu_small):
-    f_fam = lambda grid: gaussian(0.3)
-    rep = blowup_probe(f_fam, mu_small, 0.5, refinements=(32, 64),
-                       thresholds=(10.0, 10.0), box_eps=(0.25, 0.5, 1.0))
-    assert rep.level_dims == (0.0, 0.0)
-    assert rep.boxdim_estimate == 0.0
-    assert not rep.inconclusive
-    assert all(c == 0 for row in rep.counts for c in row)
+def test_blowup_smooth_data_has_empty_superlevel():
+    # box sides 2, 4 and 8 cells of a 32^3 grid: the box sizes 1/4, 1/2, 1
+    counts, dim = _box_dimension(np.zeros((32,) * 3, dtype=bool), (2, 4, 8),
+                                 0.125)
+    assert counts == (0, 0, 0)
+    assert dim == 0.0
 
 
-def test_blowup_saturated_threshold_fills_the_box(mu_small):
-    f_fam = lambda grid: gaussian(0.3)
-    rep = blowup_probe(f_fam, mu_small, 0.5, refinements=(32, 64),
-                       thresholds=(-1e30, -1e30), box_eps=(0.25, 0.5, 1.0))
-    assert rep.level_dims == pytest.approx((3.0, 3.0), abs=1e-9)
-    for n, counts in zip(rep.refinements, rep.counts):
-        dx = 4.0 / n
-        assert counts == tuple(
-            int(round((4.0 / e) ** 3)) for e in rep.box_eps)
+def test_blowup_saturated_threshold_fills_the_box():
+    counts, dim = _box_dimension(np.ones((32,) * 3, dtype=bool), (2, 4, 8),
+                                 0.125)
+    assert counts == (16 ** 3, 8 ** 3, 4 ** 3)
+    assert dim == pytest.approx(3.0, abs=1e-9)
 
 
 def test_blowup_validation(mu_small):
     f_fam = lambda grid: gaussian(0.3)
+    mu_fam = lambda grid: mu_small
     with pytest.raises(ParameterError):
-        blowup_probe(f_fam, mu_small, 0.5, refinements=(64,))
+        blowup_probe(f_fam, mu_fam, 0.5, 1.5, refinements=(64,))
     with pytest.raises(ParameterError):
-        blowup_probe(f_fam, mu_small, 0.5, refinements=(64, 32))
+        blowup_probe(f_fam, mu_fam, 0.5, 1.5, refinements=(64, 32))
+    # the box size 1/8 is a whole number of cells only at multiples of 32
+    for refs in ((16, 32), (32, 48), (0, 32)):
+        with pytest.raises(ParameterError, match="whole numbers"):
+            blowup_probe(f_fam, mu_fam, 0.5, 1.5, refinements=refs)
     with pytest.raises(ParameterError):
-        blowup_probe(f_fam, mu_small, 0.5, refinements=(32, 64),
-                     box_eps=(0.25, 0.5))
-    with pytest.raises(ParameterError):
-        blowup_probe(f_fam, mu_small, 0.5, refinements=(32, 64),
-                     box_eps=(0.3, 0.5, 1.0))
-    with pytest.raises(ParameterError):
-        blowup_probe(f_fam, mu_small, 0.5, refinements=(32, 64),
-                     box_eps=(0.25, 0.5, 1.0), thresholds=(1.0,))
-    with pytest.raises(ParameterError):
-        blowup_probe(f_fam, mu_small, 0.5, refinements=(32, 64),
-                     box_eps=(0.25, 0.5, 1.0), thresholds=(2.0, 1.0))
-    with pytest.raises(ParameterError):
-        blowup_probe(f_fam, mu_small, 0.5, refinements=(32, 64),
-                     box_eps=(0.25, 0.5, 1.0), threshold_fraction=1.0)
+        blowup_probe(f_fam, mu_fam, 0.5, 1.5, refinements=(32, 64),
+                     threshold_fraction=1.0)
 
 
 def test_sharpness_family_profile():
@@ -248,8 +236,6 @@ def test_sharpness_family_profile():
         floor**-2.0 / np.log(1.0 / floor), rel=1e-12)
     mu = mu_fam(grid)
     assert mu.resolution == pytest.approx(grid.spacing, rel=1e-12)
-    with pytest.raises(ParameterError):
-        sharpness_family(support_radius=0.6)
 
 
 def test_energy_ratio_consistent_with_certified_lower_bound(grid32, mu_small):
