@@ -504,23 +504,34 @@ def energy_integral(mu: DiscreteMeasure, s: float) -> EnergyReport:
 
 
 def _annulus_inner(mu: DiscreteMeasure, t: float, eps_list) -> np.ndarray:
-    """inner[i, k] = mu{y : t <= |x_i - y| <= t + eps_k}.  Each pair (i, j) adds w_j to
-    row i and w_i to row j, in the bin of its distance between sorted edges whose first
-    is the float below t, so ties at t count; width k sums the bins up to t + eps_k."""
+    """inner[i, k] = mu{y : t <= |x_i - y| <= t + eps_k}.
+
+    Only the pairs with t <= |x_i - x_j| <= t + max eps are binned, ties at both ends
+    included; the rest, most pairs when eps is small, are dropped first.  A kept pair
+    adds w_j to row i and w_i to row j, in bin b = #{sorted t + eps below |x_i - x_j|},
+    and width k sums the bins up to t + eps_k.  The kept pairs reach bincount in
+    row-major order, so every bin adds the same floats in the same order as a
+    histogram of all pairs would."""
     eps = np.asarray(eps_list, dtype=float)
     if not (eps.size and 0 < t < math.inf and np.all((0 < eps) & (eps < math.inf))):
         raise ParameterError(f"t and eps must be finite and positive, got {t}, {eps_list}")
     _check_pair_cap(mu)
-    edges = np.concatenate(([np.nextafter(t, -math.inf)], t + np.sort(eps)))
-    nb, w = edges.size + 1, mu.weights
-    hist = np.zeros((mu.n_atoms, nb))
+    hi = t + np.sort(eps)
+    k, w = hi.size, mu.weights
+    hist = np.zeros((mu.n_atoms, k))
     for i0, d in _pair_blocks(mu.atoms):
-        b = np.searchsorted(edges, d)
-        for ids, wt in ((b + nb * np.arange(d.shape[0])[:, None], w[i0:]),
-                        (b + nb * np.arange(d.shape[1]), w[i0:i0 + d.shape[0], None])):
-            hist[i0:] += np.bincount(ids.ravel(), np.broadcast_to(wt, d.shape).ravel(),
-                                     hist[i0:].size).reshape(-1, nb)
-    return np.cumsum(hist[:, 1:], axis=1)[:, np.searchsorted(edges, t + eps) - 1]
+        n = d.shape[1]
+        f = np.flatnonzero((d >= t) & (d <= hi[-1]))
+        b = np.searchsorted(hi, d.ravel()[f])
+        # kept pair f joins row i0 + f // n and column i0 + f % n: the row's bin gains
+        # the column's weight, then the column's bin gains the row's.  The weights are
+        # gathered before the bin ids and dropped after, so no more block-sized arrays
+        # are alive at once than in an all-pairs histogram
+        for key, partner in ((np.floor_divide, np.remainder), (np.remainder, np.floor_divide)):
+            wt = w[i0:][partner(f, n)]
+            hist[i0:] += np.bincount(key(f, n) * k + b, wt, hist[i0:].size).reshape(-1, k)
+            del wt
+    return np.cumsum(hist, axis=1)[:, np.searchsorted(hi, t + eps)]
 
 
 def annulus_pair_profile(mu: DiscreteMeasure, t: float, eps_list) -> np.ndarray:

@@ -35,7 +35,11 @@ __all__ = [
 
 
 def lp_norm(values, mu: DiscreteMeasure, p: float) -> float:
-    """Discrete L^p(mu) norm of atom values; p = inf takes the sup over atoms."""
+    """Discrete L^p(mu) norm of atom values; p = inf takes the sup over atoms.
+
+    The values are scaled by m = max |v| before the power, m * (sum w (|v|/m)^p)^(1/p),
+    so a large p neither underflows to 0 nor overflows to inf.
+    """
     v = np.asarray(values)
     if v.shape != (mu.n_atoms,):
         raise ParameterError(
@@ -43,9 +47,10 @@ def lp_norm(values, mu: DiscreteMeasure, p: float) -> float:
     if p < 1.0:
         raise ParameterError(f"p must be >= 1, got {p}")
     a = np.abs(v)
-    if math.isinf(p):
-        return float(a.max())
-    return float((mu.weights @ a ** p) ** (1.0 / p))
+    m = float(a.max())
+    if math.isinf(p) or not 0.0 < m < math.inf:
+        return m
+    return m * float(mu.weights @ (a / m) ** p) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

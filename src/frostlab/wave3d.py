@@ -211,13 +211,28 @@ class BlowupReport:
         }
 
 
+def _or_blocks(mask: np.ndarray, s: int) -> np.ndarray:
+    """OR over the s x s x s blocks of a cubic mask, one axis at a time: the
+    first two stages OR whole slabs and rows, so only the last, on a mask
+    already s^2 times smaller, reduces along the contiguous axis."""
+    k, n = mask.shape[0] // s, mask.shape[0]
+    mask = mask.reshape(k, s, n * n).any(axis=1)
+    mask = mask.reshape(k, k, s, n).any(axis=2)
+    return mask.reshape(k, k, k, s).any(axis=3)
+
+
 def _box_dimension(mask: np.ndarray, sides, spacing: float):
-    """Occupied-box counts at the given sides (in cells) and the slope fit."""
-    n = mask.shape[0]
-    counts = []
+    """Occupied-box counts at the given sides (in cells) and the slope fit.
+
+    Each side is a multiple of the one before it (the box sizes double), so a
+    box is occupied when any of its sub-boxes at the previous side is: only the
+    finest count reads the full mask.
+    """
+    counts, prev = [], 1
     for s in sides:
-        m = mask.reshape(n // s, s, n // s, s, n // s, s).any(axis=(1, 3, 5))
-        counts.append(int(m.sum()))
+        mask = _or_blocks(mask, s // prev)
+        prev = s
+        counts.append(int(np.count_nonzero(mask)))
     if counts[-1] == 0:
         return tuple(counts), 0.0
     eps = np.array(sides, dtype=float) * spacing

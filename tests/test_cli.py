@@ -324,6 +324,17 @@ def test_opnorm_artifacts(tmp_path):
     assert len(lines) == 1 + 128 + 1
 
 
+@pytest.mark.parametrize("family", ["bumps", "extremizers"])
+def test_opnorm_at_large_p_gives_a_positive_finite_bound(tmp_path, family):
+    # at p = 700 an unscaled |v|^p underflowed to a bound of 0 (bumps) or
+    # overflowed to a non-finite ratio and exit 3 (extremizers)
+    cfg = _cfg(tmp_path, "c.json", {"experiment": "opnorm", "p": 700,
+                                    "family": family})
+    assert main(["opnorm", "--config", cfg, "--out", str(tmp_path)]) == 0
+    bound = json.loads((tmp_path / "opnorm.json").read_text())["lower_bound"]
+    assert 0.0 < bound < math.inf
+
+
 def test_growth_fit_artifacts(tmp_path):
     cfg = _cfg(tmp_path, "c.json", {
         "experiment": "growth",

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -308,6 +309,53 @@ def test_pair_scans_match_brute_force_on_lattice_ties(case, block):
     # small blocks split the scan into many row blocks, down to one row each
     with mock.patch.object(measures, "_PAIR_BLOCK", block):
         assert_pair_sums_match_brute_force(mu, t, eps)
+
+
+def all_pairs_inner(mu, t, eps_list):
+    """Reference for measures._annulus_inner: bins every pair, in and out of the band,
+    and reads only the band's bins."""
+    eps = np.asarray(eps_list, dtype=float)
+    edges = np.concatenate(([np.nextafter(t, -math.inf)], t + np.sort(eps)))
+    nb, w = edges.size + 1, mu.weights
+    hist = np.zeros((mu.n_atoms, nb))
+    for i0, d in measures._pair_blocks(mu.atoms):
+        b = np.searchsorted(edges, d)
+        for ids, wt in ((b + nb * np.arange(d.shape[0])[:, None], w[i0:]),
+                        (b + nb * np.arange(d.shape[1]), w[i0:i0 + d.shape[0], None])):
+            hist[i0:] += np.bincount(ids.ravel(), np.broadcast_to(wt, d.shape).ravel(),
+                                     hist[i0:].size).reshape(-1, nb)
+    return np.cumsum(hist[:, 1:], axis=1)[:, np.searchsorted(edges, t + eps) - 1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(snapped_cases(), st.sampled_from([1, 7, 64, 2**19]))
+def test_band_scan_equals_all_pairs_histogram_bit_for_bit(case, block):
+    mu, t, eps = case
+    with mock.patch.object(measures, "_PAIR_BLOCK", block):
+        assert np.array_equal(measures._annulus_inner(mu, t, eps), all_pairs_inner(mu, t, eps))
+
+
+# the shape of the offlattice-atoms benchmark's pair-scan input: a 4096-atom disk, t = 0.5
+DISK = random_ball_measure(2, 4096, seed=41, radius=1.0)
+
+
+def test_band_scan_equals_all_pairs_histogram_on_the_offlattice_disk():
+    eps = [2.0**-k for k in range(4, 10)]
+    assert np.array_equal(measures._annulus_inner(DISK, 0.5, eps),
+                          all_pairs_inner(DISK, 0.5, eps))
+
+
+def test_saturated_band_scan_peaks_no_higher_than_all_pairs_histogram():
+    # eps = 10 keeps every pair at distance >= t, so the pruning saves no memory here
+    peaks = []
+    for scan in (all_pairs_inner, measures._annulus_inner):
+        tracemalloc.start()
+        try:
+            scan(DISK, 0.5, [10.0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 @pytest.mark.parametrize("mu,t", [

@@ -44,6 +44,17 @@ def test_lp_norm_of_ones_is_mass_root():
     assert lp_norm(np.ones(CANTOR2SQ.n_atoms), CANTOR2SQ, math.inf) == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [2.0, 700.0, 1100.0, 1e308])
+@pytest.mark.parametrize("c", [0.5, 2.0, 1e-300, 1e300])
+def test_lp_norm_of_a_constant_neither_underflows_nor_overflows(c, p):
+    # (0.5)^1100 underflows and 2^1100 overflows unless the values are scaled first
+    box = lebesgue_box_measure(2, 1.0, 32)
+    got = lp_norm(np.full(box.n_atoms, c), box, p)
+    assert got == pytest.approx(c * box.total_mass ** (1.0 / p), rel=1e-12, abs=0)
+    assert lp_norm(np.zeros(box.n_atoms), box, p) == 0.0
+
+
 def test_lp_norm_pythagoras_disjoint_supports():
     rng = np.random.default_rng(2)
     a = rng.standard_normal(CANTOR2SQ.n_atoms)

@@ -207,6 +207,19 @@ def test_blowup_saturated_threshold_fills_the_box():
     assert dim == pytest.approx(3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("density", [1e-4, 1e-3, 0.02, 0.3])
+def test_box_counts_equal_the_direct_reduction_per_side(density):
+    # the staged counts OR blocks of the previous box mask; the direct
+    # reduction reads the full mask at every side
+    rng = np.random.default_rng(7)
+    mask = rng.random((32,) * 3) < density
+    for sides in ((1, 2, 4), (2, 4, 8), (4, 8, 16), (2, 8, 32)):
+        direct = tuple(
+            int(mask.reshape(32 // s, s, 32 // s, s, 32 // s, s).any(axis=(1, 3, 5)).sum())
+            for s in sides)
+        assert _box_dimension(mask, sides, 0.125)[0] == direct
+
+
 def test_blowup_validation(mu_small):
     f_fam = lambda grid: gaussian(0.3)
     mu_fam = lambda grid: mu_small
