@@ -40,7 +40,7 @@ from .measures import (
     sphere_measure,
 )
 from .spectral import (
-    ComplexField,
+    Field,
     SpectralGrid,
     Spectrum,
     annulus_energy_profile,

@@ -9,7 +9,8 @@ versions.  No timestamps anywhere: identical config and seed give
 byte-identical files.
 
 Exit codes: 0 success, 1 acceptance-suite failure, 2 usage, 3 invalid
-config or parameters (message carries the field path), 4 resource limit.
+config ("config error: <field path>: <message>") or parameters ("invalid
+parameters: <message>"), 4 resource limit ("resource limit: <message>").
 """
 
 import argparse
@@ -65,7 +66,6 @@ from .operators import (
 )
 from .spectral import (
     SpectralGrid,
-    _plane_csv_rows,
     decay_fit,
     measure_fourier,
     save_field_binary,
@@ -319,16 +319,28 @@ def _fit_rows(fit: FitReport):
                      for v in fit.csv_row())]
 
 
-def _field_slice_rows(field):
-    """Central-slice CSV of a grid field: full plane in 2d, z = 0 plane in 3d."""
-    g = field.grid
-    ax = g.space_axis()
-    v, z = field.values, ""
-    if g.dim == 3:
-        k = g.n_per_axis // 2
-        v, z = v[:, :, k], f"{float(ax[k])!r},"
-    header = "x,y,z,re,im" if z else "x,y,re,im"
-    return _plane_csv_rows(header, ax, (v.real, v.imag), z)
+def _plane_csv_rows(header: str, axis: np.ndarray, plane: np.ndarray,
+                    z: str = "") -> list[str]:
+    """The header, then "x,y,<z>value" at each (axis[i], axis[j]); z is
+    empty or a fixed column with its comma.  Numbers are repr of Python
+    floats, converted by tolist() in one pass."""
+    ax = [repr(x) for x in axis.tolist()]
+    rows = [header]
+    for x, line in zip(ax, plane.tolist()):
+        rows.extend(f"{x},{y},{z}{v!r}" for y, v in zip(ax, line))
+    return rows
+
+
+def _write_field(out: Path, field):
+    """field.bin, and slice.csv of a real field: the plane in 2d, z = 0 in 3d."""
+    save_field_binary(field, out / "field.bin")
+    ax, v = field.grid.space_axis(), field.values
+    if v.ndim == 2:
+        rows = _plane_csv_rows("x,y,value", ax, v)
+    else:
+        k = field.grid.n_per_axis // 2
+        rows = _plane_csv_rows("x,y,z,value", ax, v[:, :, k], f"{float(ax[k])!r},")
+    _write_csv(out / "slice.csv", rows)
 
 
 # ---- subcommand handlers ----
@@ -398,8 +410,7 @@ def _run_avg(r: _Reader, args, out: Path) -> int:
     t = r.get("t", 0.5)
     r.done()
     field = spherical_average(f, mu, t, grid)
-    save_field_binary(field, out / "field.bin")
-    _write_csv(out / "slice.csv", _field_slice_rows(field))
+    _write_field(out, field)
     print(f"avg: radius {t} sup {float(np.abs(field.values).max()):.6g}"
           f" -> {out}")
     return 0
@@ -413,8 +424,7 @@ def _run_maximal(r: _Reader, args, out: Path) -> int:
     t_grid_n = r.get("t_grid_n", 16)
     r.done()
     field = maximal_function(f, mu, default_t_grid(t_grid_n), grid)
-    save_field_binary(field, out / "field.bin")
-    _write_csv(out / "slice.csv", _field_slice_rows(field))
+    _write_field(out, field)
     print(f"maximal: {t_grid_n + 1} radii sup"
           f" {float(np.abs(field.values).max()):.6g} -> {out}")
     return 0
@@ -560,7 +570,7 @@ def _run_wave(r: _Reader, args, out: Path) -> int:
         # the constant-z plane nearest the requested height
         k = int(np.argmin(np.abs(axis - z)))
         _write_csv(out / "slice.csv",
-                   _plane_csv_rows("x,y,u", axis, (u.values[:, :, k],)))
+                   _plane_csv_rows("x,y,u", axis, u.values[:, :, k]))
         print(f"wave: solution at t={t} sup"
               f" {float(np.abs(u.values).max()):.6g} -> {out}")
         return 0

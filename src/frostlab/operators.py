@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .measures import DiscreteMeasure, _sphere_area, _unit_ball_volume
 from .spectral import (
-    ComplexField,
+    Field,
     SpectralGrid,
     Spectrum,
     _atom_values,
@@ -117,11 +117,14 @@ def default_mollify_eps(grid: SpectralGrid) -> float:
 
 # ---- spherical averages ----
 
-_QUADRATURE_CHUNK = 32  # atoms per cdist block in the quadrature oracle
+# the quadrature oracle's blocks: grid points (a multiple of 8 rows keeps
+# each row's BLAS sum, so its bits) by atoms, a few MB at any grid size
+_QUADRATURE_POINTS = 2**15
+_QUADRATURE_CHUNK = 32
 
 
 def _check_t(t: float, grid: SpectralGrid) -> None:
-    if t <= 0:
+    if not t > 0:
         raise ParameterError(f"sphere radius must be positive, got {t}")
     if t > grid.box_half_width / 2.0:
         raise DomainError(
@@ -130,7 +133,7 @@ def _check_t(t: float, grid: SpectralGrid) -> None:
 
 
 def spherical_average(f, mu: DiscreteMeasure, t: float,
-                      grid: SpectralGrid) -> ComplexField:
+                      grid: SpectralGrid) -> Field:
     """Average of f d(mu) over the radius-t sphere around each grid point.
 
     T_lambda with lambda the probability measure on the radius-t sphere:
@@ -144,7 +147,7 @@ def spherical_average(f, mu: DiscreteMeasure, t: float,
 
 
 def quadrature_spherical_average(f, mu: DiscreteMeasure, t: float,
-                                 grid: SpectralGrid) -> ComplexField:
+                                 grid: SpectralGrid) -> Field:
     """Direct-sum oracle for spherical_average: sum_i f_i w_i K_t(|x - x_i|).
 
     O(n_grid * n_atoms); intended for cross-checks on modest grids.
@@ -155,16 +158,17 @@ def quadrature_spherical_average(f, mu: DiscreteMeasure, t: float,
     _check_in_box(mu, grid)
     eps = default_mollify_eps(grid)
     coeffs = _atom_values(f, mu) * mu.weights
-    axes = [grid.space_axis()] * grid.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    mesh = np.meshgrid(*[grid.space_axis()] * grid.dim, indexing="ij")
+    pts = np.stack(mesh, axis=-1).reshape(-1, grid.dim)
     out = np.zeros(pts.shape[0])
     chunk = _QUADRATURE_CHUNK
-    for lo in range(0, mu.n_atoms, chunk):
-        dist = cdist(pts, mu.atoms[lo:lo + chunk])
-        out += sphere_spatial_kernel(grid.dim, t, eps, dist) @ coeffs[lo:lo + chunk]
-    shape = (grid.n_per_axis,) * grid.dim
-    return ComplexField(grid, out.reshape(shape), rep="space")
+    for p0 in range(0, pts.shape[0], _QUADRATURE_POINTS):
+        block = slice(p0, p0 + _QUADRATURE_POINTS)
+        for lo in range(0, mu.n_atoms, chunk):
+            dist = cdist(pts[block], mu.atoms[lo:lo + chunk])
+            out[block] += (sphere_spatial_kernel(grid.dim, t, eps, dist)
+                           @ coeffs[lo:lo + chunk])
+    return Field(grid, out.reshape((grid.n_per_axis,) * grid.dim), rep="space")
 
 
 def default_t_grid(n: int = 64) -> np.ndarray:
@@ -175,7 +179,7 @@ def default_t_grid(n: int = 64) -> np.ndarray:
 
 
 def maximal_function(f, mu: DiscreteMeasure, t_grid,
-                     grid: SpectralGrid) -> ComplexField:
+                     grid: SpectralGrid) -> Field:
     """Pointwise max of |spherical average| over a sorted t-grid inside [1,2].
 
     One measure transform is shared across all radii; each radius costs one
@@ -187,9 +191,9 @@ def maximal_function(f, mu: DiscreteMeasure, t_grid,
         raise ParameterError("t_grid must be a nonempty 1-d list of radii")
     if np.any(np.diff(t_arr) < 0):
         raise ParameterError("t_grid must be sorted ascending")
-    if t_arr[0] < 1.0 or t_arr[-1] > 2.0:
-        raise ParameterError(
-            f"t_grid must lie in [1, 2], got range [{t_arr[0]}, {t_arr[-1]}]")
+    outside = t_arr[~((1.0 <= t_arr) & (t_arr <= 2.0))]
+    if outside.size:
+        raise ParameterError(f"t_grid must lie in [1, 2], got {outside[0]}")
     _check_t(float(t_arr[-1]), grid)
     eps = default_mollify_eps(grid)
     spec = Spectrum(f, mu, grid)
@@ -199,12 +203,12 @@ def maximal_function(f, mu: DiscreteMeasure, t_grid,
         mag = np.abs(spec.apply(
             lambda rho: base(t * rho) * mollifier_hat(eps * rho)).values)
         best = mag if best is None else np.maximum(best, mag, out=best)
-    return ComplexField(grid, best, rep="space")
+    return Field(grid, best, rep="space")
 
 
 # ---- dyadic low-pass and T_lambda convolution ----
 
-def dyadic_operator(f, mu: DiscreteMeasure, j: int, grid: SpectralGrid) -> ComplexField:
+def dyadic_operator(f, mu: DiscreteMeasure, j: int, grid: SpectralGrid) -> Field:
     """Low-pass smoothing of f d(mu) at scale 2^-j via multiplier phi_hat(2^-j xi)."""
     if 2.0 ** j > grid.freq_max / 4.0:
         raise DomainError(
@@ -214,7 +218,7 @@ def dyadic_operator(f, mu: DiscreteMeasure, j: int, grid: SpectralGrid) -> Compl
 
 
 def convolve_distribution(multiplier: Callable, f, mu: DiscreteMeasure,
-                          grid: SpectralGrid) -> ComplexField:
+                          grid: SpectralGrid) -> Field:
     """T_lambda f = lambda * (f d(mu)) for lambda with real radial transform.
 
     multiplier maps |xi| arrays to the transform of lambda; it is damped by
@@ -286,7 +290,9 @@ def sphere_l2_profile(f, mu: DiscreteMeasure, grid: SpectralGrid,
     times the frequency cell volume.  No mollifier, so the decaying tail of
     sigma_hat is kept intact and growth exponents are unbiased.
     """
-    j_arr = [int(j) for j in np.atleast_1d(j_values)]
+    j_arr = [float(j) for j in np.atleast_1d(j_values)]
+    if not all(j.is_integer() for j in j_arr):
+        raise ParameterError(f"scales j must be integers, got {j_values}")
     spec = Spectrum(f, mu, grid)
     base = sphere_multiplier(grid.dim)
     return np.array([math.sqrt(spec.energy(lambda rho: base(2.0 ** (-j) * rho) ** 2))

@@ -54,8 +54,6 @@ from .errors import ConfigError, DomainError, FitError, ParameterError, Resource
 from .fitting import FitReport, line_fit
 from .measures import DiscreteMeasure, _read_exact
 
-_FIELD_MAGIC = b"FFLD0001"
-
 # memory guards: plain fields cap at 2^24 complex values (268 MB), the
 # oversampled spreading grid at 2^25 (536 MB); the 5 GB sandbox allows no more
 _MAX_FIELD_VALUES = 2**24
@@ -140,13 +138,12 @@ class SpectralGrid:
 
 
 @dataclass
-class ComplexField:
+class Field:
     """Values on a spectral grid, in space or frequency representation.
 
-    Frequency-side values are complex128.  Space-side values are float64
-    from Spectrum.apply and every operator, and complex128 from to_space;
-    readers that want both parts take values.real and values.imag, which
-    is 0 for float64."""
+    Frequency-side values are complex128.  Space-side values are float64,
+    from Spectrum.apply and every operator, or complex128 only from
+    to_space."""
 
     grid: SpectralGrid
     values: np.ndarray
@@ -488,7 +485,7 @@ def _fft_kept(x: np.ndarray, axis: int, keep) -> np.ndarray:
     return x if keep is None else np.take(x, keep, axis=axis)
 
 
-def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> ComplexField:
+def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> Field:
     """Fourier transform of f dmu sampled on the grid's frequency lattice.
 
     f may be None (constant 1), a callable on the atom array, or a per-atom
@@ -503,10 +500,10 @@ def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> ComplexField:
     """
     _check_in_box(mu, grid)
     c = _atom_values(f, mu) * mu.weights
-    return ComplexField(grid, _transform(c, mu, grid, False), "freq")
+    return Field(grid, _transform(c, mu, grid, False), "freq")
 
 
-def to_space(field: ComplexField) -> ComplexField:
+def to_space(field: Field) -> Field:
     """Inverse transform: f(x_j) = sum_k F(xi_k) exp(2 pi i x_j . xi_k) dxi^d."""
     import scipy.fft
 
@@ -518,10 +515,10 @@ def to_space(field: ComplexField) -> ComplexField:
     for sign in _mode_factors(g, False, False):
         vals *= sign
     vals = scale * scipy.fft.ifftn(vals, workers=_fft_workers, overwrite_x=True)
-    return ComplexField(g, vals, "space")
+    return Field(g, vals, "space")
 
 
-def to_freq(field: ComplexField) -> ComplexField:
+def to_freq(field: Field) -> Field:
     """Forward transform of a space-side field by the same convention."""
     import scipy.fft
 
@@ -531,7 +528,7 @@ def to_freq(field: ComplexField) -> ComplexField:
     vals = scipy.fft.fftn(field.values, workers=_fft_workers)
     for sign in _mode_factors(g, False, False):
         vals *= sign
-    return ComplexField(g, g.spacing**g.dim * vals, "freq")
+    return Field(g, g.spacing**g.dim * vals, "freq")
 
 
 # one grid only: the keys take 4 bytes per half-lattice point (34 MB at
@@ -634,7 +631,7 @@ class Spectrum:
     def _power(self) -> np.ndarray:
         return self._lattice_hist(self._half.real**2 + self._half.imag**2)
 
-    def apply(self, profile) -> ComplexField:
+    def apply(self, profile) -> Field:
         """Space-side field of the transform times profile(|xi|), in
         float64.
 
@@ -655,7 +652,7 @@ class Spectrum:
         values = scipy.fft.irfft(x, n=n, norm="forward", workers=_fft_workers,
                                  overwrite_x=True)
         values *= 1.0 / n**d
-        return ComplexField(g, values, "space")
+        return Field(g, values, "space")
 
     def energy(self, profile) -> float:
         """Riemann sum of |transform|^2 * profile(|xi|) over the frequency
@@ -664,14 +661,14 @@ class Spectrum:
         return float(self._power @ self._table(profile)) * g.freq_step ** g.dim
 
 
-def field_l2sq(field: ComplexField) -> float:
+def field_l2sq(field: Field) -> float:
     """Riemann-sum L^2 norm squared in the field's own representation."""
     g = field.grid
     cell = (g.freq_step if field.rep == "freq" else g.spacing) ** g.dim
     return float(np.sum(np.abs(field.values) ** 2) * cell)
 
 
-def field_at_points(field: ComplexField, points) -> np.ndarray:
+def field_at_points(field: Field, points) -> np.ndarray:
     """Multilinear interpolation of a space-side field at arbitrary points."""
     if field.rep != "space":
         raise ParameterError("field_at_points expects a space-side field")
@@ -680,7 +677,7 @@ def field_at_points(field: ComplexField, points) -> np.ndarray:
     if pts.shape[1] != g.dim:
         raise ParameterError("points must match the grid dimension")
     x = (pts + g.box_half_width) / g.spacing
-    if np.any(x < 0) or np.any(x > g.n_per_axis - 1):
+    if not np.all((0 <= x) & (x <= g.n_per_axis - 1)):
         raise DomainError(
             "interpolation points must lie in [-L, L - dx] = "
             f"[{-g.box_half_width!r}, {g.box_half_width - g.spacing!r}] per axis")
@@ -763,7 +760,7 @@ def partition_residual(grid: SpectralGrid) -> float:
 
 # ---- scaling-law fits ----
 
-def decay_fit(field: ComplexField) -> FitReport:
+def decay_fit(field: Field) -> FitReport:
     """Fit the max modulus over dyadic shells 2^m <= |xi| < 2^(m+1).
 
     Returns the log-log line fit; the decay exponent estimate is -slope.
@@ -824,53 +821,38 @@ def _check_annulus(grid: SpectralGrid, j: int) -> None:
 
 # ---- serialization ----
 
-# values interleaved per write in save_field_binary: 1 MB of "<f8" pairs
-_WRITE_CHUNK = 2**16
+# field format v2: magic, then dim, n, L, rep (0 freq, 1 space) and dtype
+# (0 float64, 1 complex128), then the values in C order in that dtype
+_FIELD_MAGIC = b"FFLD0002"
+_FIELD_HEADER = struct.Struct("<IQdBB")
+_FIELD_REPS = ("freq", "space")
+_FIELD_DTYPES = (np.dtype("<f8"), np.dtype("<c16"))
 
 
-def save_field_binary(field: ComplexField, path) -> None:
-    """Header, then (re, im) of each value as little-endian float64 pairs in
-    C order; a real field writes im = 0.0.  The pairs pass through one
-    chunk-sized buffer, so no copy of the whole field is made."""
-    flat = field.values.reshape(-1)
+def save_field_binary(field: Field, path) -> None:
+    """The header, then the field's own values as little-endian float64 or
+    complex128, whichever it holds."""
+    g, code = field.grid, int(np.iscomplexobj(field.values))
     with open(path, "wb") as fh:
-        fh.write(_FIELD_MAGIC)
-        fh.write(struct.pack("<IQdB", field.grid.dim, field.grid.n_per_axis,
-                             field.grid.box_half_width,
-                             0 if field.rep == "freq" else 1))
-        buf = np.empty((min(flat.size, _WRITE_CHUNK), 2), dtype="<f8")
-        for i0 in range(0, flat.size, _WRITE_CHUNK):
-            part = flat[i0:i0 + _WRITE_CHUNK]
-            pairs = buf[:part.size]
-            pairs[:, 0] = part.real
-            pairs[:, 1] = part.imag
-            fh.write(pairs)
+        fh.write(_FIELD_MAGIC + _FIELD_HEADER.pack(
+            g.dim, g.n_per_axis, g.box_half_width, _FIELD_REPS.index(field.rep), code))
+        fh.write(np.ascontiguousarray(field.values, dtype=_FIELD_DTYPES[code]))
 
 
-def load_field_binary(path) -> ComplexField:
+def load_field_binary(path) -> Field:
+    """Read a field written by save_field_binary, in the dtype it was
+    written in."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _FIELD_MAGIC:
             raise ParameterError(f"{path}: bad magic {magic!r}")
-        dim, n, L, repflag = struct.unpack("<IQdB", _read_exact(fh, 21, path))
+        dim, n, L, rep, code = _FIELD_HEADER.unpack(
+            _read_exact(fh, _FIELD_HEADER.size, path))
+        if rep > 1 or code > 1:
+            raise ParameterError(f"{path}: bad rep or dtype byte ({rep}, {code})")
         grid = SpectralGrid(dim=dim, n_per_axis=n, box_half_width=L)
-        pairs = np.frombuffer(_read_exact(fh, 16 * n**dim, path), dtype="<c16")
+        dtype = _FIELD_DTYPES[code]
+        raw = _read_exact(fh, dtype.itemsize * n**dim, path)
     # one writable native copy of the read-only buffer
-    values = pairs.astype(np.complex128).reshape((n,) * dim)
-    return ComplexField(grid, values, "freq" if repflag == 0 else "space")
-
-
-def _plane_csv_rows(header: str, axis: np.ndarray, planes, z: str = "") -> list[str]:
-    """CSV lines of n x n planes on the points (axis[i], axis[j]): the header,
-    then "x,y,<z>v1,v2,..." for each (i, j), one value of each plane in
-    turn; z is empty or a fixed column with its trailing comma.  Numbers
-    are repr of the Python float, as float() of each numpy value would
-    give, but tolist() converts them in one pass and each axis value is
-    formatted once."""
-    ax = [repr(x) for x in axis.tolist()]
-    cols = [p.tolist() for p in planes]
-    rows = [header]
-    for i, x in enumerate(ax):
-        for y, *vals in zip(ax, *(c[i] for c in cols)):
-            rows.append(f"{x},{y},{z}" + ",".join(map(repr, vals)))
-    return rows
+    values = np.frombuffer(raw, dtype=dtype).astype(dtype.type)
+    return Field(grid, values.reshape((n,) * dim), _FIELD_REPS[rep])

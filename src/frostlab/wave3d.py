@@ -27,7 +27,7 @@ from .operators import (
     sphere_multiplier,
     spherical_average,
 )
-from .spectral import ComplexField, SpectralGrid, Spectrum, mollifier_hat
+from .spectral import Field, SpectralGrid, Spectrum, mollifier_hat
 
 __all__ = [
     "wave_solution",
@@ -41,7 +41,7 @@ __all__ = [
 
 
 def wave_solution(f, mu: DiscreteMeasure, t: float,
-                  grid: SpectralGrid) -> ComplexField:
+                  grid: SpectralGrid) -> Field:
     """Snapshot u(., t) = t * (radius-t spherical average of f d(mu)), a
     float64 space-side field."""
     if grid.dim != 3:

@@ -17,8 +17,13 @@ from frostlab.measures import (
     load_measure_json,
     product_measure,
 )
-from frostlab.operators import spherical_average
-from frostlab.spectral import SpectralGrid, load_field_binary, set_fft_workers
+from frostlab.operators import default_t_grid, maximal_function, spherical_average
+from frostlab.spectral import (
+    SpectralGrid,
+    load_field_binary,
+    measure_fourier,
+    set_fft_workers,
+)
 from frostlab.wave3d import wave_solution
 
 
@@ -445,6 +450,60 @@ def test_every_recorded_field_is_type_checked(tmp_path, capsys, command, doc):
         err = capsys.readouterr().err
         assert rc == 3, (path, err)
         assert f"frostlab: config error: {path}: " in err, (path, err)
+
+
+# ---- artifact layout ----
+
+_SQUARE_MU = product_measure([cantor_measure(0.25, 3)] * 2)
+_BOX3_MU = lebesgue_box_measure(3, 1.0, 6)
+_GRID64_L4 = {"dim": 2, "n_per_axis": 64, "box_half_width": 4.0}
+_GRID16_3D = {"dim": 3, "n_per_axis": 16, "box_half_width": 2.0}
+
+# (command, config, the same field computed in process, slice.csv header)
+LAYOUT_RUNS = [
+    ("fourier", {"measure": _SQUARE, "grid": _GRID64},
+     lambda: measure_fourier(None, _SQUARE_MU, SpectralGrid(**_GRID64)), None),
+    ("avg", {"measure": _SQUARE, "grid": _GRID64, "t": 0.5},
+     lambda: spherical_average(None, _SQUARE_MU, 0.5, SpectralGrid(**_GRID64)),
+     "x,y,value"),
+    ("avg", {"measure": _BOX3, "grid": _GRID16_3D, "t": 0.5},
+     lambda: spherical_average(None, _BOX3_MU, 0.5, SpectralGrid(**_GRID16_3D)),
+     "x,y,z,value"),
+    ("maximal", {"measure": _SQUARE, "grid": _GRID64_L4, "t_grid_n": 3},
+     lambda: maximal_function(None, _SQUARE_MU, default_t_grid(3),
+                              SpectralGrid(**_GRID64_L4)),
+     "x,y,value"),
+    ("wave", {"mode": "solution", "measure": _BOX3, "grid": _GRID16_3D,
+              "density": {"kind": "one"}, "t": 0.3},
+     lambda: wave_solution(None, _BOX3_MU, 0.3, SpectralGrid(**_GRID16_3D)),
+     "x,y,u"),
+]
+
+
+@pytest.mark.parametrize("command, doc, compute, header", LAYOUT_RUNS,
+                         ids=["fourier", "avg-2d", "avg-3d", "maximal", "wave"])
+def test_field_artifacts_keep_the_field_dtype(tmp_path, command, doc, compute,
+                                              header):
+    out = _run(tmp_path, command, command, doc).parent
+    field = compute()
+    complex_field = command == "fourier"
+    assert field.values.dtype == (np.complex128 if complex_field else np.float64)
+    raw = (out / "field.bin").read_bytes()
+    assert len(raw) == 30 + field.values.itemsize * field.values.size
+    assert raw[:8] == b"FFLD0002" and raw[29] == int(complex_field)
+    loaded = load_field_binary(out / "field.bin")
+    assert loaded.values.dtype == field.values.dtype
+    assert loaded.values.tobytes() == field.values.tobytes()  # signbits too
+    if header is None:
+        assert not (out / "slice.csv").exists()
+        return
+    rows = (out / "slice.csv").read_bytes().decode().split("\r\n")
+    assert rows[0] == header and rows[-1] == ""
+    n = field.grid.n_per_axis
+    # 2-d: the whole field; 3-d: the plane z = 0, at index n/2
+    plane = field.values if field.grid.dim == 2 else field.values[:, :, n // 2]
+    got = np.array([float(row.rsplit(",", 1)[1]) for row in rows[1:-1]])
+    assert got.tobytes() == plane.tobytes()
 
 
 # ---- determinism ----

@@ -41,7 +41,7 @@ from frostlab.spectral import (
     lowpass_phi_hat,
     measure_fourier,
 )
-from frostlab.wave3d import wave_solution
+from frostlab.wave3d import pointwise_limit_fit, wave_solution
 
 G2_256 = SpectralGrid(2, 256, 2.0)
 G2_512 = SpectralGrid(2, 512, 2.0)
@@ -264,6 +264,31 @@ def test_sphere_radius_validation():
         quadrature_spherical_average(None, CANTOR45SQ, 1.2, G2_256)
 
 
+def test_nan_radius_is_refused_as_a_radius():
+    # NaN passes t <= 0 and every range comparison; it must not reach the
+    # multiplier, which would report it as a singular multiplier
+    with pytest.raises(ParameterError, match="sphere radius must be positive, got nan"):
+        spherical_average(None, CANTOR45SQ, math.nan, G2_256)
+    with pytest.raises(ParameterError, match="sphere radius must be positive, got nan"):
+        pointwise_limit_fit(None, BOX3, G3_8, (0.2, math.nan, 0.05))
+    g = SpectralGrid(2, 64, 4.0)
+    for t_grid in ([1.0, math.nan, 2.0], [1.0, 2.0, math.nan], [math.nan]):
+        with pytest.raises(ParameterError, match=r"t_grid must lie in \[1, 2\], got nan"):
+            maximal_function(None, CANTOR45SQ, t_grid, g)
+
+
+@pytest.mark.parametrize("rows", [8, 1024])
+def test_quadrature_blocks_keep_the_bits(monkeypatch, rows):
+    # 4096 grid points in blocks of `rows`: each point's sum over the atom
+    # chunks is the one-block sum bit for bit
+    g = SpectralGrid(2, 64, 2.0)
+    mu = sphere_measure(2, 0.5, 100)
+    whole = quadrature_spherical_average(None, mu, 0.6, g).values
+    monkeypatch.setattr(operators, "_QUADRATURE_POINTS", rows)
+    assert quadrature_spherical_average(None, mu, 0.6, g).values.tobytes() \
+        == whole.tobytes()
+
+
 def test_quadrature_rejects_measure_outside_box():
     mu = measure_from_atoms(np.array([[3.0, 0.0]]), np.ones(1))
     with pytest.raises(DomainError):
@@ -482,6 +507,16 @@ def test_sphere_l2_profile_growth_slope():
     slope = np.polyfit(js.astype(float), np.log2(norms), 1)[0]
     assert slope >= 0.35
     assert norms[-1] > norms[0]
+
+
+def test_sphere_l2_profile_refuses_a_non_integer_scale():
+    g = SpectralGrid(2, 64, 2.0)
+    # integral values of any type are scales
+    assert np.array_equal(sphere_l2_profile(None, CANTOR45SQ, g, [2, 2.0, np.int64(2)]),
+                          np.repeat(sphere_l2_profile(None, CANTOR45SQ, g, 2), 3))
+    for j in (2.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="scales j must be integers"):
+            sphere_l2_profile(None, CANTOR45SQ, g, [3, j])
 
 
 # ---- algebraic properties ----

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import j0
 
-from frostlab import spectral
+from frostlab import cli, spectral
 from frostlab.errors import DomainError, FitError, ParameterError, ResourceError
 from frostlab.fitting import log2_fit
 from frostlab.measures import (
@@ -27,7 +28,7 @@ from frostlab.measures import (
 )
 from frostlab.operators import spherical_average
 from frostlab.spectral import (
-    ComplexField,
+    Field,
     SpectralGrid,
     annulus_beta,
     annulus_energy_profile,
@@ -492,7 +493,7 @@ def test_spectrum_apply_matches_full_lattice_route(case, t):
     w = damped_cosine(grid, t)
     got = spectral.Spectrum(f, mu, grid).apply(w)
     full = measure_fourier(f, mu, grid)
-    want = to_space(ComplexField(grid, full.values * w(grid.freq_radii()), "freq"))
+    want = to_space(Field(grid, full.values * w(grid.freq_radii()), "freq"))
     assert got.rep == "space"
     assert got.values.dtype == np.float64
     assert np.max(np.abs(got.values - want.values)) <= 1e-12 * space_bound(f, mu, grid)
@@ -687,12 +688,19 @@ def test_field_at_points_guard_states_its_range():
                                f" = [{-L!r}, {L - dx!r}] per axis")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_field_at_points_refuses_non_finite_points(bad):
+    field = to_space(measure_fourier(None, dirac(2), SpectralGrid(2, 64, 2.0)))
+    with pytest.raises(DomainError, match="interpolation points must lie in"):
+        field_at_points(field, [[0.0, 0.0], [0.5, bad]])
+
+
 def test_field_at_points_keeps_a_real_field_real():
     field = spectral.Spectrum(None, CANTOR4SQ, GRID2).apply(mollifier_hat)
     pts = np.random.default_rng(3).uniform(-1.9, 1.9, size=(50, 2))
     got = field_at_points(field, pts)
     assert got.dtype == np.float64
-    as_complex = ComplexField(GRID2, field.values.astype(np.complex128), "space")
+    as_complex = Field(GRID2, field.values.astype(np.complex128), "space")
     assert np.array_equal(got, field_at_points(as_complex, pts).real)
 
 
@@ -819,17 +827,15 @@ def test_annulus_growth_fit_accepts_a_generator():
 def test_plane_csv_rows_match_per_cell_float_repr():
     rng = np.random.default_rng(3)
     axis = np.linspace(-2.0, 2.0, 7)
-    planes = [rng.normal(size=(7, 7)), rng.normal(size=(7, 7)) * 1e-300]
-    planes[0][0, :4] = [-0.0, 5e-324, 1 / 3, 2.0**60]
+    plane = rng.normal(size=(7, 7))
+    plane[0, :4] = [-0.0, 5e-324, 1 / 3, 2.0**60]
     for z in ("", f"{float(axis[3])!r},"):
         want = ["h"]
         for i in range(7):
             for j in range(7):
                 want.append(f"{float(axis[i])!r},{float(axis[j])!r},{z}"
-                            + ",".join(repr(float(p[i, j])) for p in planes))
-        assert spectral._plane_csv_rows("h", axis, planes, z) == want
-        assert spectral._plane_csv_rows("h", axis, planes[:1], z) == [
-            row.rsplit(",", 1)[0] if k else row for k, row in enumerate(want)]
+                            f"{float(plane[i, j])!r}")
+        assert cli._plane_csv_rows("h", axis, plane, z) == want
 
 
 def test_field_binary_round_trip(tmp_path):
@@ -837,33 +843,63 @@ def test_field_binary_round_trip(tmp_path):
     path = tmp_path / "f.ffld"
     save_field_binary(field, path)
     loaded = load_field_binary(path)
-    assert loaded.rep == "freq"
+    assert loaded.rep == "freq" and loaded.values.dtype == np.complex128
     assert loaded.grid == field.grid
     np.testing.assert_array_equal(loaded.values, field.values)
     spatial = to_space(field)
     save_field_binary(spatial, path)
-    assert load_field_binary(path).rep == "space"
+    loaded = load_field_binary(path)
+    assert loaded.rep == "space" and loaded.values.dtype == np.complex128
+    np.testing.assert_array_equal(loaded.values, spatial.values)
 
 
+EXTREMES = (-0.0, 5e-324, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("d, n", [(1, 8), (2, 512), (3, 64)])
-def test_field_binary_real_values_write_a_zero_imaginary_part(tmp_path, d, n):
-    # one byte layout for a real field and its complex128 copy, across
-    # several write chunks at 512^2 and 64^3
+def test_field_binary_keeps_the_dtype_and_every_bit(tmp_path, d, n, dtype):
+    # v2 writes a real field as float64 and a complex one as complex128,
+    # after a 30-byte header whose last byte is the dtype
     grid = SpectralGrid(d, n, 2.0)
-    real = np.cos(np.arange(n**d, dtype=np.float64)).reshape((n,) * d)
-    real.flat[:3] = (-0.0, 5e-324, -1e300)
-    paths = [tmp_path / "real.ffld", tmp_path / "complex.ffld"]
-    save_field_binary(ComplexField(grid, real, "space"), paths[0])
-    save_field_binary(ComplexField(grid, real.astype(np.complex128), "space"), paths[1])
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert paths[0].stat().st_size == 8 + 21 + 16 * n**d
-    for path in paths:
-        loaded = load_field_binary(path)
-        assert loaded.rep == "space" and loaded.values.dtype == np.complex128
-        assert loaded.values.flags.writeable
-        assert np.array_equal(loaded.values.real, real)
-        assert np.array_equal(np.signbit(loaded.values.real), np.signbit(real))
-        assert not np.any(loaded.values.imag) and not np.any(np.signbit(loaded.values.imag))
+    values = np.cos(np.arange(n**d, dtype=np.float64)).astype(dtype)
+    values[:4] = EXTREMES
+    if dtype is np.complex128:
+        values.imag = np.sin(np.arange(n**d))
+        values.imag[4:8] = EXTREMES
+    values = values.reshape((n,) * d)
+    path = tmp_path / "f.ffld"
+    save_field_binary(Field(grid, values, "space"), path)
+    raw = path.read_bytes()
+    itemsize = np.dtype(dtype).itemsize
+    assert len(raw) == 30 + itemsize * n**d
+    assert raw[:8] == b"FFLD0002" and raw[28:30] == bytes([1, itemsize // 16])
+    assert raw[30:] == values.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+    loaded = load_field_binary(path)
+    assert loaded.rep == "space" and loaded.grid == grid
+    assert loaded.values.dtype == dtype and loaded.values.flags.writeable
+    assert loaded.values.tobytes() == values.tobytes()  # signed zeros too
+
+
+def _v2_header(rep=1, code=0, dim=2, n=8):
+    return b"FFLD0002" + struct.pack("<IQdBB", dim, n, 2.0, rep, code)
+
+
+@pytest.mark.parametrize("rep, code", [(2, 0), (7, 0), (1, 2), (0, 255)])
+def test_field_binary_refuses_bad_flag_bytes(tmp_path, rep, code):
+    path = tmp_path / "f.ffld"
+    path.write_bytes(_v2_header(rep, code) + b"\x00" * 16 * 64)
+    with pytest.raises(ParameterError, match="bad rep or dtype byte"):
+        load_field_binary(path)
+
+
+def test_field_binary_refuses_a_v1_file(tmp_path):
+    # v1: "FFLD0001", <IQdB (no dtype byte), then (re, im) float64 pairs
+    path = tmp_path / "v1.ffld"
+    path.write_bytes(b"FFLD0001" + struct.pack("<IQdB", 2, 8, 2.0, 1)
+                     + b"\x00" * 16 * 64)
+    with pytest.raises(ParameterError, match="bad magic b'FFLD0001'"):
+        load_field_binary(path)
 
 
 def test_field_binary_bad_magic(tmp_path):
