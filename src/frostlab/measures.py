@@ -617,6 +617,14 @@ def _read_exact(fh, size: int, path) -> bytes:
     return data
 
 
+def _check_end(fh, path) -> None:
+    """The read must end at end of file: bytes after the data the header
+    declares mean the file is not the one written."""
+    extra = os.fstat(fh.fileno()).st_size - fh.tell()
+    if extra:
+        raise ParameterError(f"{path}: {extra} bytes after the end of the data")
+
+
 def load_measure_binary(path) -> DiscreteMeasure:
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -633,6 +641,7 @@ def load_measure_binary(path) -> DiscreteMeasure:
         atoms = np.frombuffer(_read_exact(fh, 8 * dim * n, path),
                               dtype="<f8").reshape(n, dim).copy()
         weights = np.frombuffer(_read_exact(fh, 8 * n, path), dtype="<f8").copy()
+        _check_end(fh, path)
     return DiscreteMeasure(
         dim=dim, atoms=atoms, weights=weights, total_mass=total,
         nominal_s=None if math.isnan(nominal) else nominal,

@@ -200,8 +200,9 @@ def maximal_function(f, mu: DiscreteMeasure, t_grid,
     base = sphere_multiplier(grid.dim)
     best = None
     for t in t_arr:
-        mag = np.abs(spec.apply(
-            lambda rho: base(t * rho) * mollifier_hat(eps * rho)).values)
+        # each apply returns a fresh field, reduced in its own memory
+        mag = spec.apply(lambda rho: base(t * rho) * mollifier_hat(eps * rho)).values
+        np.abs(mag, out=mag)
         best = mag if best is None else np.maximum(best, mag, out=best)
     return Field(grid, best, rep="space")
 
@@ -214,7 +215,8 @@ def dyadic_operator(f, mu: DiscreteMeasure, j: int, grid: SpectralGrid) -> Field
         raise DomainError(
             f"dyadic scale 2^{j} exceeds freq_max/4 = {grid.freq_max / 4.0}; "
             "the pass band would alias")
-    return Spectrum(f, mu, grid).apply(lambda rho: lowpass_phi_hat(2.0 ** (-j) * rho))
+    return Spectrum(f, mu, grid)._apply_in_place(
+        lambda rho: lowpass_phi_hat(2.0 ** (-j) * rho))
 
 
 def convolve_distribution(multiplier: Callable, f, mu: DiscreteMeasure,
@@ -228,8 +230,9 @@ def convolve_distribution(multiplier: Callable, f, mu: DiscreteMeasure,
     riesz_multiplier does.
     """
     eps = default_mollify_eps(grid)
-    # damping keeps a non-finite value non-finite, and Spectrum rejects it
-    return Spectrum(f, mu, grid).apply(
+    # damping keeps a non-finite value non-finite, and Spectrum rejects it;
+    # one profile, so the inverse runs in the spectrum's own memory
+    return Spectrum(f, mu, grid)._apply_in_place(
         lambda rho: np.asarray(multiplier(rho), dtype=np.float64)
         * mollifier_hat(eps * rho))
 

@@ -38,6 +38,14 @@ not transformed, and of the fine grid only the central modes are kept.
 that real transform and evaluates each radial multiplier on a 1-d table of
 the radii sqrt(K2) * freq_step, K2 = |k|^2 an integer, gathered by K2.
 `measure_fourier` reads the full lattice from the same real spectrum.
+
+The inverse (_inverse) is irfftn's, bit for bit, in one complex buffer of
+the half lattice's shape: the n real outputs of a last-axis line fit in
+the n/2 + 1 complex values they come from (FFTW's in-place real layout,
+Frigo & Johnson, Proc. IEEE 93, 2005), and the products and the real
+lines are formed slab by slab.  A reused spectrum inverts into a fresh
+buffer; an operator that applies one profile inverts in the spectrum's
+own memory, so a 256^3 field costs one half lattice, not three.
 """
 
 from __future__ import annotations
@@ -52,10 +60,12 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FitError, ParameterError, ResourceError
 from .fitting import FitReport, line_fit
-from .measures import DiscreteMeasure, _read_exact
+from .measures import DiscreteMeasure, _check_end, _read_exact
 
-# memory guards: plain fields cap at 2^24 complex values (268 MB), the
-# oversampled spreading grid at 2^25 (536 MB); the 5 GB sandbox allows no more
+# memory guards: plain fields cap at 2^24 values, a 134 MB float64 field
+# whose inverse runs in one 135 MB half lattice (_inverse); the oversampled
+# spreading grid caps at 2^25 (268 MB real, then its spectrum); the 5 GB
+# sandbox allows no more
 _MAX_FIELD_VALUES = 2**24
 _MAX_SPREAD_VALUES = 2**25
 
@@ -71,6 +81,12 @@ _SPREAD_CHUNK_POINTS = 2**17
 # a spread plan (see _spread) is kept only up to this many kernel values,
 # 12 bytes each: 2^22 is about 48 MB
 _SPREAD_PLAN_ENTRIES = 2**22
+
+# _inverse forms the product and the real lines in slabs along axis 0 of
+# about this many complex values (512 KB), so each slab's gathered table
+# and irfft output stay in L2 cache; _occurring_keys reads keys in slabs of
+# this many.  2^18 made pointwise_limit_fit 5-25% slower
+_INVERSE_SLAB = 2**15
 
 _fft_workers = 1
 
@@ -532,8 +548,8 @@ def to_freq(field: Field) -> Field:
 
 
 # one grid only: the keys take 4 bytes per half-lattice point (34 MB at
-# 256^3), and what reuses them is a loop over one grid, such as opnorm's
-# witnesses
+# 256^3, a quarter of the complex buffer _inverse works in), and what
+# reuses them is a loop over one grid, such as opnorm's witnesses
 @lru_cache(maxsize=1)
 def _radius_keys(grid: SpectralGrid):
     """Integer keys of |xi| on the rfftn half lattice, and the radius table
@@ -561,11 +577,53 @@ def _radius_keys(grid: SpectralGrid):
 @lru_cache(maxsize=8)
 def _occurring_keys(grid: SpectralGrid) -> np.ndarray:
     """The entries of _radius_keys' table that some lattice point indexes:
-    at 256^2 about 6000 of the 32769 values of K2."""
+    at 256^2 about 6000 of the 32769 values of K2.  The keys are read in
+    slabs, so no n^d temporary is made (bincount would cast all of them to
+    intp: 67 MB at 256^3)."""
     keys, radii = _radius_keys(grid)
-    where = np.flatnonzero(np.bincount(keys.ravel(), minlength=radii.size))
+    flat = keys.reshape(-1)
+    hit = np.zeros(radii.size, dtype=bool)
+    for i0 in range(0, flat.size, _INVERSE_SLAB):
+        hit[flat[i0:i0 + _INVERSE_SLAB]] = True
+    where = np.flatnonzero(hit)
     where.setflags(write=False)  # one array serves every later caller
     return where
+
+
+def _inverse(half: np.ndarray, keys: np.ndarray, table: np.ndarray,
+             x: np.ndarray, n: int) -> np.ndarray:
+    """irfftn of half * table[keys] on the (n,)*d lattice, bit for bit,
+    written into x: a C-contiguous complex buffer of half's shape, half
+    itself to run in its memory.  Returns the float64 (n,)*d view of x.
+
+    In the stages irfftn runs: the product, formed in slabs along axis 0
+    so no full-size gather is built; an unnormalised complex inverse over
+    axes 0..d-2, in place; then the real inverse of the last axis, slab by
+    slab, each slab's lines scaled by 1/n^d into the front of x.  A real
+    line takes n values, its complex line n + 2, so real lines i0:i1 end
+    before complex line i1 starts: no value is written before it is read.
+    Each value is scaled once, after its last stage, which keeps subnormal
+    bits."""
+    import scipy.fft
+
+    d = half.ndim
+    step = max(1, _INVERSE_SLAB * half.shape[0] // half.size)
+    for i0 in range(0, half.shape[0], step):
+        s = slice(i0, i0 + step)
+        np.multiply(half[s], table[keys[s]], out=x[s])
+    if d > 1:
+        # on a complex input with overwrite_x, scipy.fft writes into x
+        scipy.fft.ifftn(x, axes=tuple(range(d - 1)), norm="forward",
+                        workers=_fft_workers, overwrite_x=True)
+    lines = x.reshape(-1, x.shape[-1])
+    real = x.reshape(-1).view(np.float64)[:lines.shape[0] * n].reshape(-1, n)
+    step = max(1, _INVERSE_SLAB // lines.shape[1])
+    for i0 in range(0, lines.shape[0], step):
+        s = slice(i0, i0 + step)
+        np.multiply(scipy.fft.irfft(lines[s], n=n, norm="forward",
+                                    workers=_fft_workers, overwrite_x=True),
+                    1.0 / n**d, out=real[s])
+    return real.reshape((n,) * d)
 
 
 class Spectrum:
@@ -593,6 +651,11 @@ class Spectrum:
     so there apply and energy differ from the full-lattice route by what
     the profile leaves on those planes: roundoff for every multiplier
     damped by the mollifier.
+
+    apply leaves the half lattice as it was, so one spectrum serves many
+    profiles.  An operator that applies one profile calls _apply_in_place,
+    which inverts in the half lattice's own memory and spends the
+    spectrum: using it again is a ParameterError.
     """
 
     def __init__(self, f, mu: DiscreteMeasure, grid: SpectralGrid):
@@ -601,7 +664,13 @@ class Spectrum:
         self._half = _transform(_atom_values(f, mu) * mu.weights, mu, grid, True)
         self._keys, self._radii = _radius_keys(grid)
 
+    def _check_live(self) -> None:
+        if self._half is None:
+            raise ParameterError("this Spectrum was inverted in its own memory "
+                                 "and holds no transform; build a new one")
+
     def _table(self, profile) -> np.ndarray:
+        self._check_live()
         # the profile is evaluated only at radii that some grid frequency
         # has; the rest of the table stays 0 and is never gathered
         where = _occurring_keys(self.grid)
@@ -629,30 +698,33 @@ class Spectrum:
 
     @cached_property
     def _power(self) -> np.ndarray:
+        self._check_live()
         return self._lattice_hist(self._half.real**2 + self._half.imag**2)
+
+    def _inverse_table(self, profile) -> np.ndarray:
+        g = self.grid
+        return self._table(profile) * (g.n_per_axis * g.freq_step) ** g.dim
 
     def apply(self, profile) -> Field:
         """Space-side field of the transform times profile(|xi|), in
-        float64.
+        float64: irfftn's result bit for bit, subnormals included.
 
-        The inverse runs in the stages irfftn runs: an unnormalised complex
-        inverse over axes 0..d-2, in place on the product, a real inverse
-        along the last axis, then the one factor 1/n^d.  So the field is
-        irfftn's result bit for bit, subnormals included, without irfftn's
-        complex temporary: the peak is the product plus the real output."""
-        import scipy.fft
+        It is inverted in one fresh complex buffer of the half lattice's
+        shape, and the field is that buffer's float64 view (_inverse): the
+        peak is about one half lattice beyond the spectrum."""
+        table = self._inverse_table(profile)
+        values = _inverse(self._half, self._keys, table,
+                          np.empty_like(self._half), self.grid.n_per_axis)
+        return Field(self.grid, values, "space")
 
-        g = self.grid
-        n, d = g.n_per_axis, g.dim
-        table = self._table(profile) * (n * g.freq_step) ** d
-        x = self._half * table[self._keys]
-        if d > 1:
-            x = scipy.fft.ifftn(x, axes=tuple(range(d - 1)), norm="forward",
-                                workers=_fft_workers, overwrite_x=True)
-        values = scipy.fft.irfft(x, n=n, norm="forward", workers=_fft_workers,
-                                 overwrite_x=True)
-        values *= 1.0 / n**d
-        return Field(g, values, "space")
+    def _apply_in_place(self, profile) -> Field:
+        """apply, inverted in the half lattice's own memory, for a caller
+        that applies one profile: it allocates no field, and the spectrum
+        is spent."""
+        table = self._inverse_table(profile)
+        half, self._half = self._half, None
+        values = _inverse(half, self._keys, table, half, self.grid.n_per_axis)
+        return Field(self.grid, values, "space")
 
     def energy(self, profile) -> float:
         """Riemann sum of |transform|^2 * profile(|xi|) over the frequency
@@ -853,6 +925,7 @@ def load_field_binary(path) -> Field:
         grid = SpectralGrid(dim=dim, n_per_axis=n, box_half_width=L)
         dtype = _FIELD_DTYPES[code]
         raw = _read_exact(fh, dtype.itemsize * n**dim, path)
+        _check_end(fh, path)
     # one writable native copy of the read-only buffer
     values = np.frombuffer(raw, dtype=dtype).astype(dtype.type)
     return Field(grid, values.reshape((n,) * dim), _FIELD_REPS[rep])

@@ -105,8 +105,10 @@ def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
     base = sphere_multiplier(3)
     errors = []
     for t in t_arr:
-        sp = spec.apply(lambda rho: base(t * rho) * mollifier_hat(eps * rho))
-        errors.append(float(np.max(np.abs(sp.values - target))))
+        # each apply returns a fresh field, reduced in its own memory
+        err = spec.apply(lambda rho: base(t * rho) * mollifier_hat(eps * rho)).values
+        err -= target
+        errors.append(float(np.max(np.abs(err, out=err))))
     fit = loglog_fit(t_arr, errors)
     return PointwiseReport(times=t_arr, errors=tuple(errors), fit=fit)
 

@@ -434,6 +434,18 @@ def test_binary_rejects_truncated_file(tmp_path, keep):
         load_measure_binary(path)
 
 
+def test_binary_rejects_trailing_bytes(tmp_path):
+    # a file written over a longer one, or two files run together, holds
+    # more than its header declares
+    mu = cantor_measure(0.25, 4)
+    path = tmp_path / "m.fmeas"
+    save_measure_binary(mu, path)
+    _assert_measures_equal(mu, load_measure_binary(path))  # unmodified, it loads
+    path.write_bytes(path.read_bytes() + b"garbage!")
+    with pytest.raises(ParameterError, match=r"m\.fmeas: 8 bytes after the end of the data"):
+        load_measure_binary(path)
+
+
 # header fields (offset, format, value): 2^40 atoms claim 8 TB the file
 # does not hold, and dim = 0 would misread every later field
 @pytest.mark.parametrize("offset, fmt, value, match", [

@@ -5,6 +5,7 @@ import math
 import os
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -499,26 +500,90 @@ def test_spectrum_apply_matches_full_lattice_route(case, t):
     assert np.max(np.abs(got.values - want.values)) <= 1e-12 * space_bound(f, mu, grid)
 
 
+# slab sizes of the inverse: one line per slab, slabs that end mid-plane,
+# and the module's own size
+INVERSE_SLABS = [1, 7, 64, spectral._INVERSE_SLAB]
+
+
 @PROPERTY
-@given(spectrum_cases(), st.floats(0.1, 1.0), st.sampled_from([1.0, 1e-300, 1e-310]))
-def test_spectrum_apply_is_irfftn_bit_for_bit(case, t, scale):
+@given(spectrum_cases(), st.floats(0.1, 1.0), st.sampled_from([1.0, 1e-300, 1e-310]),
+       st.sampled_from(INVERSE_SLABS))
+def test_spectrum_apply_is_irfftn_bit_for_bit(case, t, scale, slab):
     # the staged inverse runs irfftn's 1-d transforms in irfftn's order and
     # scales once at the end, so every bit agrees; scaling between the
     # stages would differ once values go subnormal, which the small scales
-    # reach
+    # reach.  The single-use inverse, in the spectrum's own memory, is the
+    # same routine, and so is every slab size.
     grid, mu, f = case
     spec = spectral.Spectrum(scale * f, mu, grid)
     w = damped_cosine(grid, t)
-    got = spec.apply(w).values
     shape = (grid.n_per_axis,) * grid.dim
     table = spec._table(w) * (grid.n_per_axis * grid.freq_step) ** grid.dim
     want = scipy.fft.irfftn(spec._half * table[spec._keys], s=shape)
-    assert np.array_equal(got, want)
+    with mock.patch.object(spectral, "_INVERSE_SLAB", slab):
+        got = spec.apply(w).values
+        spent = spec._apply_in_place(w).values
+    for values in (got, spent):
+        assert values.dtype == np.float64 and values.shape == shape
+        assert values.tobytes() == want.tobytes()
 
 
-def test_spectrum_apply_peak_memory_is_twice_the_field():
-    # the product plus the real output; irfftn's complex temporary and a
-    # complex copy of the result took 4x
+@pytest.mark.parametrize("spread", [False, True], ids=["binned", "spread"])
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+def test_apply_leaves_the_spectrum_as_it_was(d, n, spread):
+    # maximal_function and pointwise_limit_fit apply one spectrum many
+    # times, and reduce each field in its own memory
+    grid = SpectralGrid(d, n, 2.0)
+    rng = np.random.default_rng(d)
+    if spread:
+        mu = offlattice_measure(d, d, 50)
+    else:
+        mu = measure_from_atoms(-2.0 + grid.spacing * rng.integers(0, n, size=(50, d)),
+                                np.ones(50))
+    assert (spectral._lattice_indices(mu, grid) is None) == spread
+    spec = spectral.Spectrum(rng.normal(size=mu.n_atoms), mu, grid)
+    before = spec._half.copy()
+    w = damped_cosine(grid, 0.3)
+    first, second = spec.apply(w).values, spec.apply(w).values
+    assert first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, spec._half)
+    assert spec._half.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("power_cached", [False, True])
+def test_a_spent_spectrum_refuses_reuse(power_cached):
+    grid = SpectralGrid(2, 32, 2.0)
+    spec = spectral.Spectrum(None, CANTOR4SQ, grid)
+    if power_cached:
+        spec.energy(lowpass_chi)
+    field = spec._apply_in_place(lowpass_chi)
+    assert field.values.dtype == np.float64
+    for use in (spec.energy, spec.apply, spec._apply_in_place):
+        with pytest.raises(ParameterError, match="build a new one"):
+            use(lowpass_chi)
+
+
+@pytest.mark.parametrize("slab", [7, spectral._INVERSE_SLAB])
+@pytest.mark.parametrize("d, n", [(1, 8), (1, 64), (1, 2048), (2, 8), (2, 32),
+                                  (2, 256), (3, 8), (3, 16), (3, 64)])
+def test_occurring_keys_are_the_keys_that_occur(d, n, slab):
+    grid = SpectralGrid(d, n, 2.0)
+    keys, radii = spectral._radius_keys(grid)
+    want = np.flatnonzero(np.bincount(keys.ravel(), minlength=radii.size))
+    with mock.patch.object(spectral, "_INVERSE_SLAB", slab):
+        got = spectral._occurring_keys.__wrapped__(grid)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def half_lattice_bytes(n, d):
+    return n ** (d - 1) * (n // 2 + 1) * 16
+
+
+def test_spectrum_apply_peaks_near_one_half_lattice():
+    # one complex buffer of the half lattice's shape, whose float64 view is
+    # the field, plus a slab's temporaries: 1.25 half lattices at 64^3, 1.04
+    # at 128^3.  The product and a separate real output took 1.98
     n = 64
     grid = SpectralGrid(3, n, 2.0)
     mu = lebesgue_box_measure(3, 1.0, 16)
@@ -533,7 +598,28 @@ def test_spectrum_apply_peak_memory_is_twice_the_field():
     finally:
         tracemalloc.stop()
     assert field.values.dtype == np.float64
-    assert peak <= 2.5 * n**3 * 8
+    assert peak <= 1.30 * half_lattice_bytes(n, 3)
+
+
+def test_spherical_average_peaks_near_one_half_lattice():
+    # a single-use operator inverts in its spectrum's own memory, so the
+    # transform's peak, the half lattice and the rows of axis 1 that the
+    # box occupies (1.30 half lattices at 64^3), is the average's peak.
+    # The spectrum, the product, a gather of the table and the real output
+    # took 2.98
+    n = 64
+    grid = SpectralGrid(3, n, 2.0)
+    mu = lebesgue_box_measure(3, 1.0, 16)
+    assert spectral._lattice_indices(mu, grid) is not None
+    spherical_average(None, mu, 0.5, grid)  # build the per-grid tables
+    tracemalloc.start()
+    try:
+        field = spherical_average(None, mu, 0.5, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.values.dtype == np.float64
+    assert peak <= 1.35 * half_lattice_bytes(n, 3)
 
 
 @PROPERTY
@@ -906,6 +992,20 @@ def test_field_binary_bad_magic(tmp_path):
     path = tmp_path / "bad.ffld"
     path.write_bytes(b"XXLD0001" + b"\x00" * 32)
     with pytest.raises(ParameterError):
+        load_field_binary(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_field_binary_rejects_trailing_bytes(tmp_path, dtype):
+    # a file written over a longer one, or two files run together, holds
+    # more than its header declares
+    grid = SpectralGrid(2, 8, 2.0)
+    field = Field(grid, np.arange(64, dtype=dtype).reshape(8, 8), "space")
+    path = tmp_path / "f.ffld"
+    save_field_binary(field, path)
+    assert np.array_equal(load_field_binary(path).values, field.values)  # unmodified, it loads
+    path.write_bytes(path.read_bytes() + b"garbage!")
+    with pytest.raises(ParameterError, match=r"f\.ffld: 8 bytes after the end of the data"):
         load_field_binary(path)
 
 
