@@ -53,6 +53,7 @@ _GL_ORDER = 16
 _PROBE_RADII = (0.125, 0.0625)
 _ANNULUS_PROBE_TARGETS = (0.1, 0.45, 0.8)
 _MAX_TEST_ATOMS = 2 ** 22
+_BAND_BLOCK = 2 ** 16  # product atoms per block in mattila_example
 _MAX_FACTOR_DEPTH = 24
 _CSV_HEADER = "series,level,partial_sum,increment"
 
@@ -300,6 +301,11 @@ def mattila_example(d: int, alpha: float, beta: float, p: float,
     sphere through the origin-side tangent point stays inside the box.
     Each factor takes the least depth that resolves the smallest eps: a
     quarter of its square root horizontally, a quarter of it vertically.
+
+    The product is never built: its atoms are streamed in blocks of
+    _BAND_BLOCK, in product_measure's order and with its bits, and each
+    probe keeps only the atoms inside its widest band.  Memory is bounded by
+    one block plus those atoms.
     """
     _check_dim(d)
     for name, val in (("alpha", alpha), ("beta", beta)):
@@ -310,6 +316,8 @@ def mattila_example(d: int, alpha: float, beta: float, p: float,
     eps = np.asarray(list(eps_list), dtype=np.float64)
     if eps.size < 4:
         raise ParameterError("eps_list needs at least 4 values")
+    if not np.all(np.isfinite(eps)):
+        raise ParameterError(f"eps values must be finite, got {eps.tolist()}")
     if np.any(eps <= 0.0) or np.any(eps > 0.25):
         raise ParameterError("eps values must lie in (0, 1/4]")
     ratios = eps[1:] / eps[:-1]
@@ -325,7 +333,7 @@ def mattila_example(d: int, alpha: float, beta: float, p: float,
         raise ResourceError(
             f"product needs {n_total} atoms (cap {_MAX_TEST_ATOMS}); "
             "raise the smallest eps or lower d")
-    mu = product_measure([h_factor] * (d - 1) + [v_factor])
+    factors = [h_factor] * (d - 1) + [v_factor]
 
     t = float(v_factor.atoms.max())
     h_atoms = h_factor.atoms[:, 0]
@@ -335,21 +343,42 @@ def mattila_example(d: int, alpha: float, beta: float, p: float,
         for target in _ANNULUS_PROBE_TARGETS
     ]
 
-    y_d = mu.atoms[:, -1]
-    if beta == 0.0:
-        f_vals = np.ones(mu.n_atoms)
-    else:
-        # the atom at 0 stands for its construction cell: clamp the weight
-        # at the cell scale instead of evaluating the singularity
-        f_vals = np.maximum(y_d, v_factor.resolution) ** (-beta / p)
-    fw = f_vals * mu.weights
+    # per probe, fw and band of the atoms inside the widest band, in order
+    kept = [([], []) for _ in probes]
+    eps_max = eps.max()
+    shape = tuple(f.n_atoms for f in factors)
+    for lo in range(0, n_total, _BAND_BLOCK):
+        # C order of the factor indices: the last factor varies fastest
+        index = np.unravel_index(
+            np.arange(lo, min(lo + _BAND_BLOCK, n_total)), shape)
+        atoms = np.concatenate([f.atoms[i] for f, i in zip(factors, index)],
+                               axis=1)
+        weights = factors[0].weights[index[0]]
+        for f, i in zip(factors[1:], index[1:]):
+            weights = weights * f.weights[i]
+
+        if beta == 0.0:
+            f_vals = np.ones(atoms.shape[0])
+        else:
+            # the atom at 0 stands for its construction cell: clamp the
+            # weight at the cell scale instead of evaluating the singularity
+            f_vals = np.maximum(atoms[:, -1],
+                                v_factor.resolution) ** (-beta / p)
+        fw = f_vals * weights
+
+        for x, (fw_kept, band_kept) in zip(probes, kept):
+            diff = atoms - x
+            band = np.abs(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - t)
+            inside = band <= eps_max
+            fw_kept.append(fw[inside])
+            band_kept.append(band[inside])
 
     masses = np.empty((len(probes), eps.size))
-    for i, x in enumerate(probes):
-        diff = mu.atoms - x
-        band = np.abs(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - t)
+    for i in range(len(probes)):
+        fw_kept, band_kept = (np.concatenate(a) for a in kept[i])
+        kept[i] = None  # drop the probe's blocks once they are joined
         for k, e in enumerate(eps):
-            masses[i, k] = float(fw[band <= e].sum())
+            masses[i, k] = float(fw_kept[band_kept <= e].sum())
     if np.any(masses <= 0.0):
         raise ResourceError(
             "annulus captured no mass at the smallest eps; deepen the "

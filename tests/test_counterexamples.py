@@ -2,12 +2,14 @@
 scaling fits, and refinement monotonicity."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from frostlab import counterexamples
 from frostlab.counterexamples import (
     fixed_time_sharpness,
     mattila_example,
@@ -15,6 +17,8 @@ from frostlab.counterexamples import (
     stein_example,
 )
 from frostlab.errors import ParameterError, ResourceError
+from frostlab.fitting import loglog_fit
+from frostlab.measures import product_measure
 
 EPS_CRITERION = tuple(2.0 ** -k for k in range(12, 18))
 
@@ -255,6 +259,90 @@ def test_annulus_csv_and_json():
     assert blob["construction"] == "tangent-annulus"
     assert blob["predicted_exponent"] == rep.predicted
     assert len(blob["probe_exponents"]) == 3
+
+
+def test_annulus_nan_eps_is_refused_as_non_finite():
+    with pytest.raises(ParameterError, match="finite"):
+        mattila_example(2, 1.0, 0.5, 4.0, (0.1, 0.05, math.nan, 0.0125))
+
+
+def materialized_probe_masses(d, alpha, beta, p, eps):
+    """The annulus masses from the whole product and full-length bands."""
+    eps = np.asarray(eps)
+    h_factor, _ = counterexamples._line_fractal(
+        alpha, 0.25 * math.sqrt(eps.min()))
+    v_factor, _ = counterexamples._line_fractal(beta, 0.25 * eps.min())
+    mu = product_measure([h_factor] * (d - 1) + [v_factor])
+    t = float(v_factor.atoms.max())
+    h_atoms = h_factor.atoms[:, 0]
+    if beta == 0.0:
+        f_vals = np.ones(mu.n_atoms)
+    else:
+        f_vals = np.maximum(mu.atoms[:, -1],
+                            v_factor.resolution) ** (-beta / p)
+    fw = f_vals * mu.weights
+    masses = np.empty((len(counterexamples._ANNULUS_PROBE_TARGETS), eps.size))
+    for i, target in enumerate(counterexamples._ANNULUS_PROBE_TARGETS):
+        x = np.array([float(h_atoms[np.argmin(np.abs(h_atoms - target))])]
+                     * (d - 1) + [t])
+        diff = mu.atoms - x
+        band = np.abs(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - t)
+        for k, e in enumerate(eps):
+            masses[i, k] = float(fw[band <= e].sum())
+    return masses
+
+
+# (parameter set, block sizes): blocks of 7 and 1000 end mid-row; the
+# default ladder's 2^21 atoms take 1000 and the shipped block only
+STREAMED_CASES = (
+    ((2, 1.0, 0.5, 4.0, EPS_CRITERION), (1000, 2 ** 16)),
+    (SHIPPED_SETS[3], (7, 1000)),                               # d = 3
+    ((2, 0.0, 0.5, 4.0, tuple(2.0 ** -k for k in range(8, 14))), (7, 1000)),
+    (SHIPPED_SETS[1], (7, 1000)),                               # beta = 0
+    ((2, 0.7, 0.3, 3.0, tuple(0.2 * 0.6 ** k for k in range(10))), (7, 1000)),
+)
+
+
+@pytest.mark.parametrize("params, blocks", STREAMED_CASES)
+def test_streamed_annulus_is_bitwise_the_materialized_product(
+        monkeypatch, params, blocks):
+    want = materialized_probe_masses(*params)
+    reports = []
+    for block in blocks:
+        monkeypatch.setattr(counterexamples, "_BAND_BLOCK", block)
+        rep = mattila_example(*params)
+        assert rep.probe_masses == tuple(tuple(row) for row in want.tolist())
+        assert rep.fit == loglog_fit(np.asarray(params[4]), want.mean(axis=0))
+        reports.append(rep)
+    assert reports[0].verdict_json() == reports[1].verdict_json()
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_annulus_peak_is_a_block_not_the_product():
+    # the 2^21-atom product and its full-length temporaries took 160 MiB;
+    # blocks of 2^16 atoms and the atoms inside the widest band take 8
+    mattila_example(2, 1.0, 0.5, 4.0, (0.2, 0.1, 0.05, 0.025))
+    peak = traced_peak(lambda: mattila_example(2, 1.0, 0.5, 4.0,
+                                               EPS_CRITERION))
+    assert peak < 16 * 2 ** 20
+
+
+def test_annulus_peak_on_the_widest_ladder_stays_below_the_product():
+    # eps up to 1/4 keeps a large share of the atoms in every probe's band
+    # (74 MiB); the product alone took 160 MiB at every ladder
+    mattila_example(2, 1.0, 0.5, 4.0, (0.2, 0.1, 0.05, 0.025))
+    eps = tuple(0.25 * 2.0 ** -k for k in range(17))
+    peak = traced_peak(lambda: mattila_example(2, 1.0, 0.5, 4.0, eps))
+    assert peak < 100 * 2 ** 20
 
 
 def test_annulus_deterministic():
