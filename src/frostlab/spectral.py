@@ -34,10 +34,14 @@ f is real, so both routes transform a real grid with rfftn's 1-d
 transforms in rfftn's order, and so with its bits, but only what is read
 (_transform): the grid is built on its occupied rows, a row of zeros is
 not transformed, and of the fine grid only the central modes are kept.
+On the lattice every row is kept, so the stages run in the buffer that
+is returned, and a 3-d half lattice peaks at about one half lattice.
 `Spectrum`, which the operators go through, keeps the half lattice of
 that real transform and evaluates each radial multiplier on a 1-d table of
 the radii sqrt(K2) * freq_step, K2 = |k|^2 an integer, gathered by K2.
-`measure_fourier` reads the full lattice from the same real spectrum.
+The keys K2 are built slab by slab from the 1-d arrays k^2 of each axis
+(_key_slabs), never as a table of the lattice.  `measure_fourier` reads
+the full lattice from the same real spectrum.
 
 The inverse (_inverse) is irfftn's, bit for bit, in one complex buffer of
 the half lattice's shape: the n real outputs of a last-axis line fit in
@@ -63,9 +67,9 @@ from .fitting import FitReport, line_fit
 from .measures import DiscreteMeasure, _check_end, _read_exact
 
 # memory guards: plain fields cap at 2^24 values, a 134 MB float64 field
-# whose inverse runs in one 135 MB half lattice (_inverse); the oversampled
-# spreading grid caps at 2^25 (268 MB real, then its spectrum); the 5 GB
-# sandbox allows no more
+# whose binned transform and inverse both run in one 135 MB half lattice
+# (_transform, _inverse); the oversampled spreading grid caps at 2^25
+# (268 MB real, then its spectrum); the 5 GB sandbox allows no more
 _MAX_FIELD_VALUES = 2**24
 _MAX_SPREAD_VALUES = 2**25
 
@@ -83,10 +87,15 @@ _SPREAD_CHUNK_POINTS = 2**17
 _SPREAD_PLAN_ENTRIES = 2**22
 
 # _inverse forms the product and the real lines in slabs along axis 0 of
-# about this many complex values (512 KB), so each slab's gathered table
-# and irfft output stay in L2 cache; _occurring_keys reads keys in slabs of
-# this many.  2^18 made pointwise_limit_fit 5-25% slower
+# about this many complex values (512 KB), so each slab's keys, gathered
+# table and irfft output stay in L2 cache; _key_slabs builds keys in slabs
+# of this many.  2^18 made pointwise_limit_fit 5-25% slower
 _INVERSE_SLAB = 2**15
+
+# _transform's binned stages before the last run on chunks of about this
+# many complex values (64 KB) beside the final buffer they fill: with 2^15
+# a 64^3 spherical_average peaked at 1.36 half lattices, with 2^12 at 1.25
+_STAGE_CHUNK = 2**12
 
 _fft_workers = 1
 
@@ -138,16 +147,20 @@ class SpectralGrid:
         return np.fft.fftfreq(self.n_per_axis, d=self.spacing)
 
     def freq_radii(self) -> np.ndarray:
-        """|xi| over the full lattice, gathered from _radius_keys' table.
+        """|xi| over the full lattice, float64: _radius_table gathered by
+        the keys of the full lattice, slab by slab (_key_slabs), so no
+        integer table of the lattice is made.
 
-        The table is built afresh, not cached: a decay fit reads it once
-        per field, and a cached table allocated after a transform's large
-        temporaries pins the heap above them (glibc malloc: 38 MB more
-        peak RSS for a 128^3 transform and fit, then the quadrature
+        The radius table is built afresh, not cached: a decay fit reads it
+        once per field, and a cached table allocated after a transform's
+        large temporaries pins the heap above them (glibc malloc: 38 MB
+        more peak RSS for a 128^3 transform and fit, then the quadrature
         oracle)."""
-        keys, radii = _radius_keys.__wrapped__(self)
-        k = np.fft.fftfreq(self.n_per_axis, d=1.0 / self.n_per_axis).astype(np.int64)
-        return radii[keys[..., np.abs(k)]]
+        radii = _radius_table.__wrapped__(self)
+        out = np.empty((self.n_per_axis,) * self.dim)
+        for s, keys in _key_slabs(self, full=True):
+            out[s] = radii[keys]
+        return out
 
     def space_axis(self) -> np.ndarray:
         return -self.box_half_width + self.spacing * np.arange(self.n_per_axis)
@@ -434,6 +447,13 @@ def _transform(c: np.ndarray, mu: DiscreteMeasure, grid: SpectralGrid,
     an axis is done only its rows read below are kept.  On the spread grid
     the kernel's transform is divided out of those central modes.
 
+    Binned, an axis keeps all its rows, so the output is allocated once:
+    a stage before the last is written into it in chunks
+    (_stage_into_final), the rows no atom occupies are filled with what a
+    row of zeros holds, and the last leading axis is transformed in place.
+    The spread route's stages drop half their rows (2n -> n), and each
+    makes a new array of the rows it keeps.
+
     half=True gives the half lattice, whose last axis holds the modes
     0..n/2, with the origin left at the box corner -L: the sign (-1)^k that
     moves it to 0 would cancel against the one of the inverse.  half=False
@@ -466,12 +486,22 @@ def _transform(c: np.ndarray, mu: DiscreteMeasure, grid: SpectralGrid,
         else:
             shape = empty.shape[:a - 1] + (size,) + empty.shape[a:]
             empty = _fft_kept(np.broadcast_to(empty, shape), a - 1, keep)
-        if rows.size < size:
+        if rows.size == size:
+            spec = _fft_kept(spec, a, keep)
+            continue
+        if keep is None and a < d - 2:
+            # binned, so this stage (axis 0 of 3) keeps all its rows: it is
+            # written into the final buffer, on the occupied rows of axis 1
+            spec = _stage_into_final(spec, rows, occupied[1], empty, size)
+            continue
+        if spec.shape[a] < size:  # else _stage_into_final widened it
             full = np.empty(spec.shape[:a] + (size,) + spec.shape[a + 1:],
                             dtype=np.complex128)
-            full[...] = empty
             full[(slice(None),) * a + (rows,)] = spec
             spec = full
+        free = np.ones(size, dtype=bool)
+        free[rows] = False
+        spec[(slice(None),) * a + (free,)] = empty
         spec = _fft_kept(spec, a, keep)
     if half and not spread:
         return spec
@@ -490,6 +520,26 @@ def _transform(c: np.ndarray, mu: DiscreteMeasure, grid: SpectralGrid,
     for factor in _mode_factors(grid, half, spread):
         central *= factor
     return central
+
+
+def _stage_into_final(spec: np.ndarray, rows: np.ndarray, nxt: np.ndarray,
+                      empty: np.ndarray, size: int) -> np.ndarray:
+    """_transform's fft along axis 0 of a binned 3-d grid, written into a
+    new buffer with all size rows of axes 0 and 1.  spec holds the occupied
+    rows of both axes: rows of axis 0, nxt of axis 1.  The fft runs on
+    chunks of about _STAGE_CHUNK values along axis 1, each scattered among
+    rows of zeros (empty) first, and each lands on its rows nxt of the
+    buffer.  The other rows of axis 1 are left for the next stage to
+    fill."""
+    out = np.empty((size, size) + spec.shape[2:], dtype=np.complex128)
+    step = max(1, _STAGE_CHUNK * size // out.size)
+    for j0 in range(0, nxt.size, step):
+        part = spec[:, j0:j0 + step]
+        chunk = np.empty((size,) + part.shape[1:], dtype=np.complex128)
+        chunk[...] = empty
+        chunk[rows] = part
+        out[:, nxt[j0:j0 + step]] = _fft_kept(chunk, 0, None)
+    return out
 
 
 def _fft_kept(x: np.ndarray, axis: int, keep) -> np.ndarray:
@@ -547,70 +597,80 @@ def to_freq(field: Field) -> Field:
     return Field(g, g.spacing**g.dim * vals, "freq")
 
 
-# one grid only: the keys take 4 bytes per half-lattice point (34 MB at
-# 256^3, a quarter of the complex buffer _inverse works in), and what
-# reuses them is a loop over one grid, such as opnorm's witnesses
-@lru_cache(maxsize=1)
-def _radius_keys(grid: SpectralGrid):
-    """Integer keys of |xi| on the rfftn half lattice, and the radius table
-    they index, both read-only.
+def _key_slabs(grid: SpectralGrid, full: bool = False):
+    """Yield (s, keys): the integer keys of |xi| on rows s of axis 0 of the
+    rfftn half lattice (full: of the full lattice), int32, in slabs of
+    about _INVERSE_SLAB keys.  Each slab is built from 1-d arrays, so no
+    table of the whole lattice is made.
 
-    For d >= 2 the key is K2 = |k|^2 in integer modes, which covers most of
-    0..d (n/2)^2.  In d = 1 it is |k|, since k^2 would use n/2 + 1 of its
-    (n/2)^2 + 1 entries.
-    """
+    For d >= 2 the key is K2 = |k|^2 in integer modes, k0^2[s] + k1^2 +
+    ... + last^2, which covers most of 0..d (n/2)^2 (_radius_table).  In
+    d = 1 it is |k|, since k^2 would use n/2 + 1 of its (n/2)^2 + 1
+    entries."""
     n, d = grid.n_per_axis, grid.dim
-    last = np.arange(n // 2 + 1, dtype=np.int32)
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n).astype(np.int32))
+    last = k if full else np.arange(n // 2 + 1, dtype=np.int32)
     if d == 1:
-        key, radii = last, last * grid.freq_step
+        head, tail = last, np.zeros((), dtype=np.int32)
     else:
-        k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int32)
-        key = last**2
-        for a in range(d - 1):
-            key = (k**2).reshape((n,) + (1,) * (d - 1 - a)) + key
-        radii = np.sqrt(np.arange(int(key.max()) + 1)) * grid.freq_step
-    key.setflags(write=False)  # one pair serves every later caller
-    radii.setflags(write=False)
-    return key, radii
+        head, tail = k**2, last**2
+        for _ in range(d - 2):
+            tail = (k**2).reshape((n,) + (1,) * tail.ndim) + tail
+    step = max(1, _INVERSE_SLAB // tail.size)
+    for i0 in range(0, head.size, step):
+        s = slice(i0, i0 + step)
+        yield s, head[s].reshape((-1,) + (1,) * tail.ndim) + tail
+
+
+# one grid only, for a loop over one grid such as opnorm's witnesses: a
+# table takes 8 bytes per key, 67 MB at 4096^2, and rebuilding it cost a
+# 256^2 spherical_average about 7% of its time
+@lru_cache(maxsize=1)
+def _radius_table(grid: SpectralGrid) -> np.ndarray:
+    """|xi| at each key of _key_slabs, read-only: sqrt(K2) * freq_step for
+    K2 in 0..d (n/2)^2, or |k| * freq_step in d = 1."""
+    h = grid.n_per_axis // 2
+    if grid.dim == 1:
+        radii = np.arange(h + 1) * grid.freq_step
+    else:
+        radii = np.sqrt(np.arange(grid.dim * h * h + 1)) * grid.freq_step
+    radii.setflags(write=False)  # one array serves every later caller
+    return radii
 
 
 @lru_cache(maxsize=8)
 def _occurring_keys(grid: SpectralGrid) -> np.ndarray:
-    """The entries of _radius_keys' table that some lattice point indexes:
-    at 256^2 about 6000 of the 32769 values of K2.  The keys are read in
-    slabs, so no n^d temporary is made (bincount would cast all of them to
-    intp: 67 MB at 256^3)."""
-    keys, radii = _radius_keys(grid)
-    flat = keys.reshape(-1)
-    hit = np.zeros(radii.size, dtype=bool)
-    for i0 in range(0, flat.size, _INVERSE_SLAB):
-        hit[flat[i0:i0 + _INVERSE_SLAB]] = True
+    """The keys that some point of the half lattice has: at 256^2 about
+    6000 of the 32769 values of K2."""
+    hit = np.zeros(_radius_table(grid).size, dtype=bool)
+    for _, keys in _key_slabs(grid):
+        hit[keys] = True
     where = np.flatnonzero(hit)
     where.setflags(write=False)  # one array serves every later caller
     return where
 
 
-def _inverse(half: np.ndarray, keys: np.ndarray, table: np.ndarray,
-             x: np.ndarray, n: int) -> np.ndarray:
-    """irfftn of half * table[keys] on the (n,)*d lattice, bit for bit,
-    written into x: a C-contiguous complex buffer of half's shape, half
-    itself to run in its memory.  Returns the float64 (n,)*d view of x.
+def _inverse(half: np.ndarray, grid: SpectralGrid, table: np.ndarray,
+             x: np.ndarray) -> np.ndarray:
+    """irfftn of half * table[K2] on the grid's (n,)*d lattice, K2 the
+    keys of _key_slabs, bit for bit, written into x: a C-contiguous
+    complex buffer of half's shape, half itself to run in its memory.
+    Returns the float64 (n,)*d view of x.
 
-    In the stages irfftn runs: the product, formed in slabs along axis 0
-    so no full-size gather is built; an unnormalised complex inverse over
-    axes 0..d-2, in place; then the real inverse of the last axis, slab by
-    slab, each slab's lines scaled by 1/n^d into the front of x.  A real
-    line takes n values, its complex line n + 2, so real lines i0:i1 end
-    before complex line i1 starts: no value is written before it is read.
-    Each value is scaled once, after its last stage, which keeps subnormal
-    bits."""
+    In the stages irfftn runs: the product, formed slab by slab along axis
+    0 with each slab's keys, so no full-size gather or key table is built;
+    an unnormalised complex inverse over axes 0..d-2, in place; then the
+    real inverse of the last axis, slab by slab, each slab's lines scaled
+    by 1/n^d into the front of x.  A real line takes n values, its complex
+    line n + 2, so real lines i0:i1 end before complex line i1 starts: no
+    value is written before it is read.  Each value is scaled once, after
+    its last stage, which keeps subnormal bits."""
     import scipy.fft
 
-    d = half.ndim
-    step = max(1, _INVERSE_SLAB * half.shape[0] // half.size)
-    for i0 in range(0, half.shape[0], step):
-        s = slice(i0, i0 + step)
-        np.multiply(half[s], table[keys[s]], out=x[s])
+    n, d = grid.n_per_axis, grid.dim
+    for s, keys in _key_slabs(grid):
+        np.multiply(half[s], table[keys], out=x[s])
+    del keys  # the last slab's, not to be held through the stages below
     if d > 1:
         # on a complex input with overwrite_x, scipy.fft writes into x
         scipy.fft.ifftn(x, axes=tuple(range(d - 1)), norm="forward",
@@ -662,7 +722,7 @@ class Spectrum:
         _check_in_box(mu, grid)
         self.grid = grid
         self._half = _transform(_atom_values(f, mu) * mu.weights, mu, grid, True)
-        self._keys, self._radii = _radius_keys(grid)
+        self._radii = _radius_table(grid)
 
     def _check_live(self) -> None:
         if self._half is None:
@@ -683,23 +743,33 @@ class Spectrum:
                               "give the origin a finite mean")
         return table
 
-    def _lattice_hist(self, values: np.ndarray) -> np.ndarray:
-        """Sum of values over the full lattice, binned by radius: the
-        last-axis columns 1..n/2-1 stand for two points each, so values
-        is doubled there in place."""
-        values[..., 1:-1] *= 2.0
-        return np.bincount(self._keys.ravel(), weights=values.ravel(),
-                           minlength=self._radii.size)
+    def _lattice_hist(self, values) -> np.ndarray:
+        """Sum over the full lattice of values(s), the float64 values on
+        rows s of axis 0 of the half lattice, binned by radius.  The
+        last-axis columns 1..n/2-1 stand for two points each, so each
+        slab is doubled there in place.  The slabs accumulate in lattice
+        order, so the sums have the bits of one bincount of the lattice."""
+        h = self.grid.n_per_axis // 2
+        twice = np.full(h + 1, 2.0)
+        twice[[0, h]] = 1.0
+        hist = np.zeros(self._radii.size)
+        for s, keys in _key_slabs(self.grid):
+            slab = values(s)
+            slab *= twice[s] if self.grid.dim == 1 else twice
+            # flat: add.at is 4x slower on an n-d index at 1024^2
+            np.add.at(hist, keys.ravel(), slab.ravel())
+        return hist
 
     @cached_property
     def _multiplicity(self) -> np.ndarray:
         """Number of full-lattice points at each radius of the table."""
-        return self._lattice_hist(np.ones(self._keys.shape))
+        return self._lattice_hist(lambda s: np.ones(self._half[s].shape))
 
     @cached_property
     def _power(self) -> np.ndarray:
         self._check_live()
-        return self._lattice_hist(self._half.real**2 + self._half.imag**2)
+        return self._lattice_hist(
+            lambda s: self._half[s].real**2 + self._half[s].imag**2)
 
     def _inverse_table(self, profile) -> np.ndarray:
         g = self.grid
@@ -711,10 +781,11 @@ class Spectrum:
 
         It is inverted in one fresh complex buffer of the half lattice's
         shape, and the field is that buffer's float64 view (_inverse): the
-        peak is about one half lattice beyond the spectrum."""
+        peak is about one half lattice beyond the spectrum.  The keys that
+        gather the profile's table are built per slab, so no key table of
+        the lattice is held."""
         table = self._inverse_table(profile)
-        values = _inverse(self._half, self._keys, table,
-                          np.empty_like(self._half), self.grid.n_per_axis)
+        values = _inverse(self._half, self.grid, table, np.empty_like(self._half))
         return Field(self.grid, values, "space")
 
     def _apply_in_place(self, profile) -> Field:
@@ -723,7 +794,7 @@ class Spectrum:
         is spent."""
         table = self._inverse_table(profile)
         half, self._half = self._half, None
-        values = _inverse(half, self._keys, table, half, self.grid.n_per_axis)
+        values = _inverse(half, self.grid, table, half)
         return Field(self.grid, values, "space")
 
     def energy(self, profile) -> float:
@@ -822,7 +893,7 @@ def lowpass_phi_hat(rho):
 
 def partition_residual(grid: SpectralGrid) -> float:
     """max over grid frequencies of |beta0 + sum_j beta(2^-j .) - 1|."""
-    radii = _radius_keys(grid)[1][_occurring_keys(grid)]
+    radii = _radius_table(grid)[_occurring_keys(grid)]
     j_max = max(1, int(math.ceil(math.log2(max(grid.freq_max, 1.0) / _CHI_LO))) + 1)
     total = beta0(radii)
     for j in range(1, j_max + 1):

@@ -563,10 +563,12 @@ def test_threads_and_plan_cache_leave_the_bits_unchanged(tmp_path,
     assert spectral._lattice_indices(mu, grid) is None
     f = np.cos(np.arange(mu.n_atoms))
     monkeypatch.setattr(spectral, "_plan_cache", None)
-    spectral._radius_keys.cache_clear()
+    spectral._occurring_keys.cache_clear()
+    spectral._radius_table.cache_clear()
     spectral._mode_factors.cache_clear()
     cold = spherical_average(f, mu, 0.5, grid).values
     assert spectral._plan_cache is not None
+    assert spectral._occurring_keys.cache_info().currsize == 1
     warm = spherical_average(f, mu, 0.5, grid).values
     assert np.array_equal(cold, warm)
 

@@ -344,19 +344,27 @@ def test_per_grid_tables_are_built_once_and_read_only(d, n):
     grid = SpectralGrid(d, n, 2.0)
     mu = offlattice_measure(d, d, 50)
     f = np.cos(np.arange(mu.n_atoms))
-    spectral._radius_keys.cache_clear()
+    spectral._occurring_keys.cache_clear()
+    spectral._radius_table.cache_clear()
     spectral._mode_factors.cache_clear()
     cold = [measure_fourier(f, mu, grid).values,
             spectral.Spectrum(f, mu, grid).apply(lowpass_chi).values]
-    tables = [spectral._radius_keys(grid), spectral._mode_factors(grid, True, True),
+    tables = [(spectral._occurring_keys(grid), spectral._radius_table(grid)),
+              spectral._mode_factors(grid, True, True),
               spectral._mode_factors(grid, False, True)]
-    warm = [measure_fourier(f, mu, grid).values,
-            spectral.Spectrum(f, mu, grid).apply(lowpass_chi).values]
+    spec = spectral.Spectrum(f, mu, grid)
+    warm = [measure_fourier(f, mu, grid).values, spec.apply(lowpass_chi).values]
     assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
-    assert spectral._radius_keys(grid) is tables[0]
+    assert spectral._occurring_keys(grid) is tables[0][0]
+    assert spectral._radius_table(grid) is tables[0][1]
     assert spectral._mode_factors(grid, True, True) is tables[1]
     # every caller shares these arrays, so none may write to them
     assert not any(a.flags.writeable for table in tables for a in table)
+    # the keys are built per slab: beside its transform a spectrum holds 1-d
+    # tables only, no key table of the lattice
+    held = [v for v in vars(spec).values() if isinstance(v, np.ndarray)]
+    assert any(a is spec._half for a in held)
+    assert all(a.ndim == 1 for a in held if a is not spec._half)
 
 
 @pytest.mark.parametrize("spread", [False, True], ids=["binned", "spread"])
@@ -452,6 +460,30 @@ def test_pruned_transform_is_rfftn_bit_for_bit(case, half):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 700, spectral._STAGE_CHUNK])
+@pytest.mark.parametrize("half", [False, True])
+def test_binned_stages_in_the_final_buffer_are_rfftn_bit_for_bit(chunk, half):
+    # the first of two leading axes is transformed into the final buffer
+    # one chunk of axis 1's occupied rows at a time: one row per chunk,
+    # four, or all of them give rfftn's bytes, also when every row of
+    # axis 0 or of axis 1 holds an atom
+    n = 16
+    grid = SpectralGrid(3, n, 2.0)
+    rng = np.random.default_rng(5)
+    every = np.arange(n)[:, None]
+    cases = [rng.integers(0, n, size=(6, 3)),
+             np.hstack([every, rng.integers(0, n, size=(n, 2))]),
+             np.hstack([rng.integers(0, n, size=(n, 1)), every,
+                        rng.integers(0, n, size=(n, 1))])]
+    for nodes in cases:
+        mu = measure_from_atoms(-2.0 + grid.spacing * nodes, np.ones(len(nodes)))
+        c = rng.normal(size=mu.n_atoms)
+        with mock.patch.object(spectral, "_STAGE_CHUNK", chunk):
+            got = spectral._transform(c, mu, grid, half)
+        want = reference_transform(c, mu, grid, half)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @st.composite
 def spectrum_cases(draw):
     """A small grid in d = 1, 2, 3, up to 24 atoms either on grid nodes
@@ -500,6 +532,29 @@ def test_spectrum_apply_matches_full_lattice_route(case, t):
     assert np.max(np.abs(got.values - want.values)) <= 1e-12 * space_bound(f, mu, grid)
 
 
+def k2_table(grid):
+    """The keys of |xi| on the whole half lattice, built as one int32
+    table: K2 = |k|^2 in integer modes, |k| in d = 1.  The oracle for the
+    keys the module builds per slab."""
+    n, d = grid.n_per_axis, grid.dim
+    last = np.arange(n // 2 + 1, dtype=np.int32)
+    if d == 1:
+        return last
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int32)
+    key = last**2
+    for a in range(d - 1):
+        key = (k**2).reshape((n,) + (1,) * (d - 1 - a)) + key
+    return key
+
+
+def radius_table(grid):
+    """|xi| at each key of k2_table, up to its largest key."""
+    keys = k2_table(grid)
+    if grid.dim == 1:
+        return keys * grid.freq_step
+    return np.sqrt(np.arange(int(keys.max()) + 1)) * grid.freq_step
+
+
 # slab sizes of the inverse: one line per slab, slabs that end mid-plane,
 # and the module's own size
 INVERSE_SLABS = [1, 7, 64, spectral._INVERSE_SLAB]
@@ -519,7 +574,7 @@ def test_spectrum_apply_is_irfftn_bit_for_bit(case, t, scale, slab):
     w = damped_cosine(grid, t)
     shape = (grid.n_per_axis,) * grid.dim
     table = spec._table(w) * (grid.n_per_axis * grid.freq_step) ** grid.dim
-    want = scipy.fft.irfftn(spec._half * table[spec._keys], s=shape)
+    want = scipy.fft.irfftn(spec._half * table[k2_table(grid)], s=shape)
     with mock.patch.object(spectral, "_INVERSE_SLAB", slab):
         got = spec.apply(w).values
         spent = spec._apply_in_place(w).values
@@ -569,15 +624,83 @@ def test_a_spent_spectrum_refuses_reuse(power_cached):
                                   (2, 256), (3, 8), (3, 16), (3, 64)])
 def test_occurring_keys_are_the_keys_that_occur(d, n, slab):
     grid = SpectralGrid(d, n, 2.0)
-    keys, radii = spectral._radius_keys(grid)
+    keys, radii = k2_table(grid), radius_table(grid)
     want = np.flatnonzero(np.bincount(keys.ravel(), minlength=radii.size))
     with mock.patch.object(spectral, "_INVERSE_SLAB", slab):
         got = spectral._occurring_keys.__wrapped__(grid)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("slab", [1, 7, 2**15])
+@pytest.mark.parametrize("d, n", [(1, 8), (1, 64), (1, 2048), (2, 8), (2, 32),
+                                  (2, 256), (3, 8), (3, 16), (3, 64)])
+def test_key_slabs_tile_the_whole_key_table(d, n, slab):
+    # the slabs, in order, tile the K2 table of the whole half lattice (and
+    # of the full lattice, read at |k| on the last axis), and the radius
+    # table and freq_radii have the bytes of the whole-table construction
+    grid = SpectralGrid(d, n, 2.0)
+    half = k2_table(grid)
+    full = half[..., np.abs(np.fft.fftfreq(n, d=1.0 / n).astype(np.int64))]
+    radii = radius_table(grid)
+    with mock.patch.object(spectral, "_INVERSE_SLAB", slab):
+        for is_full, want in ((False, half), (True, full)):
+            slabs = list(spectral._key_slabs(grid, is_full))
+            rows = np.concatenate([np.arange(want.shape[0])[s] for s, _ in slabs])
+            assert np.array_equal(rows, np.arange(want.shape[0]))
+            assert all(keys.dtype == np.int32 for _, keys in slabs)
+            got = np.concatenate([keys for _, keys in slabs])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert spectral._radius_table(grid).tobytes() == radii.tobytes()
+        assert grid.freq_radii().tobytes() == radii[full].tobytes()
+
+
+@pytest.mark.parametrize("slab", [1, 7, spectral._INVERSE_SLAB])
+@pytest.mark.parametrize("spread", [False, True], ids=["binned", "spread"])
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+def test_lattice_hist_is_one_bincount_of_the_lattice(d, n, spread, slab):
+    # np.add.at slab by slab adds in lattice order, as one bincount does
+    grid = SpectralGrid(d, n, 2.0)
+    rng = np.random.default_rng(d)
+    if spread:
+        mu = offlattice_measure(d, d, 50)
+    else:
+        mu = measure_from_atoms(-2.0 + grid.spacing * rng.integers(0, n, size=(50, d)),
+                                np.ones(50))
+    spec = spectral.Spectrum(rng.normal(size=mu.n_atoms), mu, grid)
+    keys, size = k2_table(grid).ravel(), radius_table(grid).size
+    power = spec._half.real**2 + spec._half.imag**2
+    ones = np.ones(spec._half.shape)
+    for values in (power, ones):
+        values[..., 1:-1] *= 2.0
+    with mock.patch.object(spectral, "_INVERSE_SLAB", slab):
+        got = [spec._power, spec._multiplicity]
+    for hist, values in zip(got, (power, ones)):
+        want = np.bincount(keys, weights=values.ravel(), minlength=size)
+        assert hist.tobytes() == want.tobytes()
+
+
 def half_lattice_bytes(n, d):
     return n ** (d - 1) * (n // 2 + 1) * 16
+
+
+def test_binned_transform_peaks_near_one_half_lattice():
+    # binned, the stages run in the half lattice the transform returns,
+    # beside a chunk and the occupied rows of the first stage: 1.10 half
+    # lattices at 128^3.  A second full-size stage array beside the first
+    # stage's result took 1.28
+    n = 128
+    grid = SpectralGrid(3, n, 2.0)
+    mu = lebesgue_box_measure(3, 1.0, 32)
+    assert spectral._lattice_indices(mu, grid) is not None
+    spectral.Spectrum(None, mu, grid)  # build the per-grid tables
+    tracemalloc.start()
+    try:
+        spec = spectral.Spectrum(None, mu, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec._half.shape == (n, n, n // 2 + 1)
+    assert peak <= 1.15 * half_lattice_bytes(n, 3)
 
 
 def test_spectrum_apply_peaks_near_one_half_lattice():
@@ -602,10 +725,11 @@ def test_spectrum_apply_peaks_near_one_half_lattice():
 
 
 def test_spherical_average_peaks_near_one_half_lattice():
-    # a single-use operator inverts in its spectrum's own memory, so the
-    # transform's peak, the half lattice and the rows of axis 1 that the
-    # box occupies (1.30 half lattices at 64^3), is the average's peak.
-    # The spectrum, the product, a gather of the table and the real output
+    # a single-use operator transforms into the half lattice and inverts in
+    # that same memory, so the average peaks at the half lattice and one
+    # slab of the inverse's temporaries: 1.25 half lattices at 64^3.  A
+    # second full-size stage array in the transform took 1.30; the
+    # spectrum, the product, a gather of the table and the real output
     # took 2.98
     n = 64
     grid = SpectralGrid(3, n, 2.0)
@@ -619,7 +743,7 @@ def test_spherical_average_peaks_near_one_half_lattice():
     finally:
         tracemalloc.stop()
     assert field.values.dtype == np.float64
-    assert peak <= 1.35 * half_lattice_bytes(n, 3)
+    assert peak <= 1.29 * half_lattice_bytes(n, 3)
 
 
 @PROPERTY

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from frostlab import wave3d
 from frostlab.cli import main
 from frostlab.errors import DomainError, ParameterError
 from frostlab.measures import (
@@ -13,7 +14,7 @@ from frostlab.measures import (
     product_measure,
 )
 from frostlab.norms import grid_operator_handle, lp_norm, opnorm_lower
-from frostlab.spectral import SpectralGrid, load_field_binary
+from frostlab.spectral import Field, SpectralGrid, load_field_binary
 from frostlab.wave3d import (
     _box_dimension,
     blowup_probe,
@@ -100,6 +101,18 @@ def test_wave_solution_rejects_non_finite_values(grid32, mu_small):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ParameterError, match="non-finite"):
             wave_solution(huge, mu_small, 0.5, grid32)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_wave_solution_rejects_each_non_finite_value(grid32, mu_small, bad, monkeypatch):
+    # the check reads the field's min and max: a NaN reaches both, -inf
+    # only the min and +inf only the max
+    values = np.linspace(-1.0, 1.0, 32**3).reshape((32,) * 3)
+    values[3, 5, 7] = bad
+    monkeypatch.setattr(wave3d, "spherical_average",
+                        lambda f, mu, t, grid: Field(grid, values.copy(), "space"))
+    with pytest.raises(ParameterError, match="wave field contains non-finite values"):
+        wave_solution(None, mu_small, 0.5, grid32)
 
 
 # ---- small-time pointwise limit ----
