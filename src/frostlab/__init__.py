@@ -43,7 +43,6 @@ from .spectral import (
     Field,
     SpectralGrid,
     Spectrum,
-    annulus_energy_profile,
     decay_fit,
     field_at_points,
     field_l2sq,
@@ -78,9 +77,7 @@ from .norms import (
     certify,
     evaluate_witnesses,
     grid_operator_handle,
-    kernel_matrix_handle,
     lp_norm,
-    matrix_operator_handle,
     opnorm_lower,
     witness_csv_rows,
 )
@@ -111,7 +108,6 @@ from .wave3d import (
     BlowupReport,
     PointwiseReport,
     blowup_probe,
-    gaussian_wave_target,
     pointwise_limit_fit,
     sharpness_family,
     wave_solution,

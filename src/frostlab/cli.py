@@ -153,6 +153,10 @@ class _Reader:
         self.record[key] = value = _conform(path, value, default)
         return value
 
+    def __contains__(self, key: str) -> bool:
+        """Whether the config gives key and it is still unread."""
+        return key in self._doc
+
     def fields(self, defaults: dict) -> dict:
         """Every field of defaults, read in order."""
         return {key: self.get(key, dflt) for key, dflt in defaults.items()}
@@ -222,15 +226,28 @@ def _build_grid(r: _Reader, default: dict) -> SpectralGrid:
         raise ConfigError("grid", str(e))
 
 
+# each copy of a Cantor factor at least doubles the atoms, so a product of
+# more copies than this exceeds the measures' cap of 2^25 atoms
+_MAX_COPIES = 25
+
+
+def _product_cantor(p):
+    """The product of p["copies"] Cantor factors; too many copies are
+    refused before the list of factors is built."""
+    if p["copies"] > _MAX_COPIES:
+        raise ResourceError(
+            f"{p['copies']} copies exceed the cap {_MAX_COPIES}")
+    return product_measure(
+        [cantor_measure(p["ratio"], p["depth"])] * p["copies"])
+
+
 # kind -> (field defaults, builder of (fields, run seed)); the builders name
 # the library functions at call time, so wrapping them (tracing) still works
 _MEASURES = {
     "cantor": ({"ratio": 0.25, "depth": 6},
                lambda p, seed: cantor_measure(**p)),
     "product-cantor": ({"ratio": 0.25, "depth": 6, "copies": 2},
-                       lambda p, seed: product_measure(
-                           [cantor_measure(p["ratio"], p["depth"])]
-                           * p["copies"])),
+                       lambda p, seed: _product_cantor(p)),
     "lebesgue-box": ({"d": 2, "half_width": 1.0, "n_cells": 64},
                      lambda p, seed: lebesgue_box_measure(**p)),
     "sphere": ({"d": 2, "t": 1.0, "n_points": 2048},
@@ -388,8 +405,13 @@ def _run_strichartz(r: _Reader, args, out: Path) -> int:
     mu = _build_measure(r, args.seed)
     grid = _build_grid(r, _GRID_2D)
     f = _build_density(r)
-    radii = r.get("radii", [float(2.0 ** k) for k in
-                            range(int(np.log2(grid.freq_max)))])
+    # the dyadic radii 2^k <= freq_max / 2
+    default = [float(2.0 ** k) for k in range(int(np.log2(grid.freq_max)))]
+    if not default and "radii" not in r:
+        raise ConfigError("grid", f"freq_max {grid.freq_max!r} is below 2, so"
+                          " no dyadic radius 2^k >= 1 lies at or below"
+                          " freq_max / 2")
+    radii = r.get("radii", default)
     # required when the measure has no nominal exponent
     s = r.get("s", float if mu.nominal_s is None else float(mu.nominal_s))
     r.done()

@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _SHELLS = 40
+# 2^-shells underflows to 0 past 1074 shells, so more add nothing but memory
+_MAX_SHELLS = 1000
 _TAIL_WINDOW = 10
 _CAUCHY_RTOL = 1e-6
 _GL_ORDER = 16
@@ -124,6 +126,16 @@ def _series_csv(rows, tag, series):
     for lv, ps, inc in zip(series.levels, series.partial_sums,
                            series.increments):
         rows.append(f"{tag},{lv},{ps!r},{inc!r}")
+
+
+def _check_shells(shells: int) -> None:
+    """The tail fit needs _TAIL_WINDOW + 2 shells; each shell costs
+    _GL_ORDER floats, so more than _MAX_SHELLS are refused before any is
+    allocated."""
+    if shells < _TAIL_WINDOW + 2:
+        raise ParameterError(f"need at least {_TAIL_WINDOW + 2} shells")
+    if shells > _MAX_SHELLS:
+        raise ResourceError(f"{shells} shells exceed the cap {_MAX_SHELLS}")
 
 
 def _radial_series(power: float, log_power: float, shells: int,
@@ -215,8 +227,7 @@ def stein_example(d: int, s: float, p: float,
         raise ParameterError(f"s must lie in (0, d], got {s}")
     if p <= 1.0:
         raise ParameterError(f"p must exceed 1, got {p}")
-    if shells < _TAIL_WINDOW + 2:
-        raise ParameterError(f"need at least {_TAIL_WINDOW + 2} shells")
+    _check_shells(shells)
     power = p * (1.0 - s) + s - 1.0
     lp_series = _radial_series(power, p, shells, _sphere_area(d))
     rate = _increment_rate(lp_series)
@@ -515,8 +526,7 @@ def fixed_time_sharpness(d: int, p: float,
     _check_dim(d, max_d=3)
     if p <= 1.0:
         raise ParameterError(f"p must exceed 1, got {p}")
-    if shells < _TAIL_WINDOW + 2:
-        raise ParameterError(f"need at least {_TAIL_WINDOW + 2} shells")
+    _check_shells(shells)
     power = (d - 1.0) * (1.0 - p)
     lp_series = _radial_series(power, p, shells, _sphere_area(d))
     rate = _increment_rate(lp_series)

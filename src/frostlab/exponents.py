@@ -47,13 +47,6 @@ class Params:
         if self.p < 1.0:
             raise ParameterError(f"p must be >= 1, got {self.p}")
 
-    @property
-    def p_prime(self) -> float:
-        """Conjugate exponent; infinite at p = 1."""
-        if self.p == 1.0:
-            return math.inf
-        return self.p / (self.p - 1.0)
-
 
 @dataclass(frozen=True)
 class Interval:

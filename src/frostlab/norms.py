@@ -22,8 +22,6 @@ from .spectral import field_at_points
 __all__ = [
     "lp_norm",
     "LinearOperatorHandle",
-    "matrix_operator_handle",
-    "kernel_matrix_handle",
     "grid_operator_handle",
     "OpNormEstimate",
     "evaluate_witnesses",
@@ -64,28 +62,6 @@ class LinearOperatorHandle:
 
     apply: Callable
     adjoint: Callable | None = None
-
-
-def matrix_operator_handle(matrix: np.ndarray, mu: DiscreteMeasure,
-                           nu: DiscreteMeasure) -> LinearOperatorHandle:
-    """Handle for Tf(y_j) = sum_i M[j,i] w_i f(x_i); adjoint is exact."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (nu.n_atoms, mu.n_atoms):
-        raise ParameterError(
-            f"matrix shape {matrix.shape} does not map {mu.n_atoms} mu atoms "
-            f"to {nu.n_atoms} nu atoms")
-    return LinearOperatorHandle(
-        apply=lambda f: matrix @ (mu.weights * np.asarray(f)),
-        adjoint=lambda g: matrix.T @ (nu.weights * np.asarray(g)))
-
-
-def kernel_matrix_handle(kernel: Callable, mu: DiscreteMeasure,
-                         nu: DiscreteMeasure) -> LinearOperatorHandle:
-    """Dense radial-kernel operator between two atom sets."""
-    from scipy.spatial.distance import cdist
-
-    dist = cdist(nu.atoms, mu.atoms)
-    return matrix_operator_handle(kernel(dist), mu, nu)
 
 
 def grid_operator_handle(op: Callable, nu: DiscreteMeasure) -> LinearOperatorHandle:

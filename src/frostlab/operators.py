@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, ResourceError
 from .measures import DiscreteMeasure, _sphere_area, _unit_ball_volume
 from .spectral import (
     Field,
@@ -171,10 +171,19 @@ def quadrature_spherical_average(f, mu: DiscreteMeasure, t: float,
     return Field(grid, out.reshape((grid.n_per_axis,) * grid.dim), rep="space")
 
 
+_MAX_T_GRID_N = 1024
+
+
 def default_t_grid(n: int = 64) -> np.ndarray:
-    """Geometric grid 2^(j/n), j = 0..n, covering [1,2]; nested across n | m."""
+    """Geometric grid 2^(j/n), j = 0..n, covering [1,2]; nested across n | m.
+
+    Each radius costs the maximal function one inverse transform, so n is
+    capped at _MAX_T_GRID_N.
+    """
     if n < 1:
         raise ParameterError(f"need at least one interval, got n={n}")
+    if n > _MAX_T_GRID_N:
+        raise ResourceError(f"t-grid n={n} exceeds the cap {_MAX_T_GRID_N}")
     return 2.0 ** (np.arange(n + 1) / n)
 
 

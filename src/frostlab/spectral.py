@@ -844,7 +844,6 @@ def field_at_points(field: Field, points) -> np.ndarray:
 
 _CHI_LO = 1.5
 _CHI_HI = 2.0
-_ANNULUS_SUPPORT = (_CHI_LO / 2.0, _CHI_HI)  # where annulus_beta is nonzero
 
 
 def _smooth_step(t):
@@ -864,15 +863,10 @@ def lowpass_chi(r):
 def annulus_beta(r):
     """Dyadic annulus profile chi(r) - chi(2r): support [0.75, 2], 1 on [1, 1.5].
 
-    Built so that beta0 + sum_{j>=1} beta(2^-j r) telescopes to exactly 1.
+    Built so that chi + sum_{j>=1} beta(2^-j r) telescopes to exactly 1.
     """
     r = np.asarray(r, dtype=float)
     return lowpass_chi(r) - lowpass_chi(2.0 * r)
-
-
-def beta0(r):
-    """Low-pass completion of the dyadic partition; equals chi."""
-    return lowpass_chi(r)
 
 
 def mollifier_hat(rho):
@@ -892,10 +886,10 @@ def lowpass_phi_hat(rho):
 
 
 def partition_residual(grid: SpectralGrid) -> float:
-    """max over grid frequencies of |beta0 + sum_j beta(2^-j .) - 1|."""
+    """max over grid frequencies of |chi + sum_j beta(2^-j .) - 1|."""
     radii = _radius_table(grid)[_occurring_keys(grid)]
     j_max = max(1, int(math.ceil(math.log2(max(grid.freq_max, 1.0) / _CHI_LO))) + 1)
-    total = beta0(radii)
+    total = lowpass_chi(radii)
     for j in range(1, j_max + 1):
         total = total + annulus_beta(radii * 2.0**-j)
     return float(np.max(np.abs(total - 1.0)))
@@ -939,27 +933,6 @@ def strichartz_profile(f, mu: DiscreteMeasure, grid: SpectralGrid,
     spec = Spectrum(f, mu, grid)
     return np.array([r ** -(grid.dim - s) * spec.energy(lambda rho: rho <= r)
                      for r in r_values])
-
-
-def annulus_energy_profile(f, nu: DiscreteMeasure, grid: SpectralGrid,
-                           j_values) -> np.ndarray:
-    """int |transform of f dnu|^2 beta(2^-j xi) dxi for several j >= 1."""
-    j_values = list(j_values)
-    for j in j_values:
-        _check_annulus(grid, j)
-    spec = Spectrum(f, nu, grid)
-    return np.array([spec.energy(lambda rho: annulus_beta(rho * 2.0**-j))
-                     for j in j_values])
-
-
-def _check_annulus(grid: SpectralGrid, j: int) -> None:
-    """Annuli start at j = 1, and 2^j * support must fit below freq_max."""
-    if j < 1:
-        raise ParameterError("annulus weights start at j = 1")
-    lo, hi = _ANNULUS_SUPPORT
-    if 2.0**j * hi > grid.freq_max:
-        raise DomainError(
-            f"annulus 2^{j} * [{lo}, {hi}] exceeds freq_max {grid.freq_max}")
 
 
 # ---- serialization ----

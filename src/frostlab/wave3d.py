@@ -33,7 +33,6 @@ __all__ = [
     "wave_solution",
     "PointwiseReport",
     "pointwise_limit_fit",
-    "gaussian_wave_target",
     "sharpness_family",
     "BlowupReport",
     "blowup_probe",
@@ -113,34 +112,6 @@ def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
         errors.append(float(np.max(np.abs(err, out=err))))
     fit = loglog_fit(t_arr, errors)
     return PointwiseReport(times=t_arr, errors=tuple(errors), fit=fit)
-
-
-def gaussian_wave_target(a: float, t: float, grid: SpectralGrid) -> np.ndarray:
-    """Closed-form u(., t) for data exp(-|x|^2 / (2 a^2)) against Lebesgue.
-
-    The Gaussian mollifier widens the data to b^2 = a^2 + eps^2 and scales
-    it by (a^2/b^2)^(3/2); the radius-t spherical mean of a centered
-    Gaussian has an explicit radial profile, stable in difference form.
-    """
-    if grid.dim != 3:
-        raise ParameterError(f"need a d=3 grid, got d={grid.dim}")
-    if a <= 0:
-        raise ParameterError(f"data width must be positive, got {a}")
-    _check_t(t, grid)
-    eps = default_mollify_eps(grid)
-    b2 = a * a + eps * eps
-    axis = grid.space_axis()
-    x, y, z = np.meshgrid(axis, axis, axis, indexing="ij")
-    r = np.sqrt(x * x + y * y + z * z)
-    amp = (a * a / b2) ** 1.5
-    rt = r * t / b2
-    small = rt < 1e-6
-    rs = np.where(small, 1.0, r)
-    mean = (b2 / (2.0 * rs * t)) * (
-        np.exp(-((rs - t) ** 2) / (2.0 * b2))
-        - np.exp(-((rs + t) ** 2) / (2.0 * b2)))
-    lim = np.exp(-(r * r + t * t) / (2.0 * b2)) * (1.0 + rt * rt / 6.0)
-    return t * amp * np.where(small, lim, mean)
 
 
 # ---- blowup-set probing ----

@@ -97,6 +97,9 @@ def test_unknown_field_reports_dotted_path(tmp_path, capsys):
     ("counterexample", {"p": math.inf}, "p"),
     ("counterexample", {"kind": "mattila",
                         "eps": [0.1, 0.05, math.nan, 0.0125]}, "eps"),
+    # the default radii 2^k <= freq_max / 2 are empty at freq_max 1
+    ("strichartz", {"grid": {"dim": 2, "n_per_axis": 8,
+                             "box_half_width": 2.0}}, "grid"),
 ])
 def test_ill_typed_config_value_exits_3(tmp_path, capsys, command, doc, path):
     cfg = _cfg(tmp_path, "c.json", {"experiment": command, **doc})
@@ -146,7 +149,10 @@ def test_atom_overflow_exits_4(tmp_path):
             {"kind": "random-ball", "d": 2, "n_atoms": 10 ** 12},
             {"kind": "sphere", "d": 3, "n_points": 10 ** 12},
             {"kind": "lebesgue-box", "d": 3, "n_cells": 1024},
-            {"kind": "radial-power", "d": 3, "grid_n": 1024}):
+            {"kind": "radial-power", "d": 3, "grid_n": 1024},
+            # the CLI's list of factors is refused before it is built
+            {"kind": "product-cantor", "ratio": 0.25, "depth": 1,
+             "copies": 2 ** 18}):
         cfg = _cfg(tmp_path, "c.json", {"experiment": "gen-measure",
                                         "measure": measure})
         tracemalloc.start()
@@ -158,6 +164,27 @@ def test_atom_overflow_exits_4(tmp_path):
             tracemalloc.stop()
         assert rc == 4, measure
         assert peak < 2 ** 20, (measure, peak)
+
+
+def test_oversized_series_exit_4_before_allocating(tmp_path, capsys):
+    # a shell costs 16 floats, a t-grid radius one inverse transform
+    for command, doc in (
+            ("counterexample", {"kind": "stein", "shells": 2 ** 15}),
+            ("counterexample", {"kind": "fixed-time", "shells": 2 ** 15}),
+            ("maximal", {"grid": {"dim": 2, "n_per_axis": 16,
+                                  "box_half_width": 4.0},
+                         "t_grid_n": 2 ** 17})):
+        cfg = _cfg(tmp_path, "c.json", {"experiment": command, **doc})
+        tracemalloc.start()
+        try:
+            rc = main([command, "--config", cfg,
+                       "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 4, doc
+        assert "frostlab: resource limit: " in capsys.readouterr().err, doc
+        assert peak < 2 ** 20, (doc, peak)
 
 
 def test_runtime_domain_error_exits_3(tmp_path, capsys):

@@ -53,15 +53,6 @@ def test_eps_p_domain():
 
 # ---- Params and Interval ----
 
-def test_params_conjugate_exponent():
-    rng = np.random.default_rng(8)
-    for _ in range(1000):
-        p = 1.0 + rng.random() * 30.0
-        pr = Params(d=2, s_mu=1.0, s_nu=1.0, p=p)
-        assert abs(1.0 / pr.p + 1.0 / pr.p_prime - 1.0) <= 1e-14
-    assert Params(d=2, s_mu=1.0, s_nu=1.0, p=1.0).p_prime == math.inf
-
-
 def test_params_validation():
     with pytest.raises(ParameterError):
         Params(d=1, s_mu=0.5, s_nu=0.5, p=2.0)

@@ -18,14 +18,13 @@ from frostlab.norms import (
     certify,
     evaluate_witnesses,
     grid_operator_handle,
-    kernel_matrix_handle,
     lp_norm,
-    matrix_operator_handle,
     opnorm_lower,
     witness_csv_rows,
 )
 from frostlab.operators import sphere_l2_profile, spherical_average
 from frostlab.spectral import SpectralGrid
+from oracles import kernel_matrix_handle, matrix_operator_handle
 
 CANTOR2SQ = product_measure([cantor_measure(0.25, 2)] * 2)
 

@@ -17,7 +17,6 @@ from scipy.special import j0
 
 from frostlab import cli, spectral
 from frostlab.errors import DomainError, FitError, ParameterError, ResourceError
-from frostlab.fitting import log2_fit
 from frostlab.measures import (
     cantor_measure,
     lebesgue_box_measure,
@@ -32,8 +31,6 @@ from frostlab.spectral import (
     Field,
     SpectralGrid,
     annulus_beta,
-    annulus_energy_profile,
-    beta0,
     decay_fit,
     direct_fourier,
     field_at_points,
@@ -925,10 +922,6 @@ def test_cutoff_shapes():
     b = annulus_beta(r)
     assert np.all(b[(r >= 1.0) & (r <= 1.5)] == 1.0)
     assert np.all(b[(r <= 0.75) | (r >= 2.0)] == 0.0)
-    # the annulus check admits 2^j * 2.0 up to freq_max = 32 and no further
-    spectral._check_annulus(GRID2, 4)
-    with pytest.raises(DomainError, match=r"2\^5 \* \[0\.75, 2\.0\] exceeds"):
-        spectral._check_annulus(GRID2, 5)
     assert mollifier_hat(0.0) == 1.0
 
 
@@ -997,39 +990,6 @@ def test_strichartz_bounded_by_mass_multiple():
         r_vals = [2.0**k for k in range(0, int(math.log2(grid.freq_max / 4)) + 1)]
         vals = strichartz_profile(None, mu, grid, r_vals, s)
         assert np.max(vals) <= 10.0 * mu.total_mass
-
-
-def test_annulus_energy_growth_cantor_square():
-    grid = SpectralGrid(2, 1024, 1.0)
-    js = range(2, 8)
-    fit = log2_fit(js, annulus_energy_profile(None, CANTOR4SQ, grid, js))
-    assert fit.slope <= 1.2  # (d - s) + 0.2
-    # parity-resolved slope: the ratio-1/4 set beats with log2-period 2
-    even = annulus_energy_profile(None, CANTOR4SQ, grid, [2, 4, 6])
-    even_slope = math.log2(even[2] / even[0]) / 4.0
-    assert abs(even_slope - 1.0) <= 0.15
-
-
-def test_annulus_energy_zero_f_and_lebesgue_decay():
-    grid = SpectralGrid(2, 512, 1.0)
-    zero = np.zeros(CANTOR4SQ.n_atoms)
-    assert annulus_energy_profile(zero, CANTOR4SQ, grid, [3])[0] == 0.0
-    leb = lebesgue_box_measure(2, 0.5, 128)
-
-    def smooth(a):
-        return np.exp(-4.0 * np.sum(a**2, axis=1))
-
-    js = range(2, 7)
-    fit = log2_fit(js, annulus_energy_profile(smooth, leb, grid, js))
-    assert fit.slope <= 0.1
-
-
-def test_annulus_growth_fit_accepts_a_generator():
-    grid = SpectralGrid(2, 256, 1.0)
-    from_list = annulus_energy_profile(None, CANTOR4SQ, grid, [2, 3, 4, 5])
-    from_gen = annulus_energy_profile(None, CANTOR4SQ, grid,
-                                      (j for j in range(2, 6)))
-    assert np.array_equal(from_gen, from_list)
 
 
 # ---- serialization ----

@@ -18,11 +18,11 @@ from frostlab.spectral import Field, SpectralGrid, load_field_binary
 from frostlab.wave3d import (
     _box_dimension,
     blowup_probe,
-    gaussian_wave_target,
     pointwise_limit_fit,
     sharpness_family,
     wave_solution,
 )
+from oracles import gaussian_wave_target
 
 
 @pytest.fixture(scope="module")
