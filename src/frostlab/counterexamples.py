@@ -172,10 +172,12 @@ def _sphere_series(d: int, t: float, chord_max: float,
     for k in range(1, levels + 1):
         a, b = theta[k], theta[k - 1]
         th = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-        chord = 2.0 * np.sin(0.5 * th)
-        dens = (t * chord) ** (1 - d) / np.log(1.0 / (t * chord))
+        tc = 2.0 * t * np.sin(0.5 * th)
         ang = 2.0 if d == 2 else 2.0 * math.pi * np.sin(th)
-        inc[k - 1] = float(np.sum(dens * ang * gw) * 0.5 * (b - a))
+        # in log space with the angular measure: the density alone,
+        # (t*c)^(1-d) ~ 2^(k(d-1)), overflows past level k ~ 1024/(d-1)
+        vals = np.exp((1 - d) * np.log(tc) - np.log(np.log(1.0 / tc)) + np.log(ang))
+        inc[k - 1] = float(np.sum(vals * gw) * 0.5 * (b - a))
     return _series(np.arange(1, levels + 1), inc)
 
 

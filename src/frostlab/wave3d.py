@@ -5,7 +5,10 @@ t times the spherical average of the data at radius t, so everything here
 rides on the averaging operator: wave_solution wraps it, the small-time
 probe measures how fast u/t approaches the data as t shrinks, and
 blowup_probe box-counts super-threshold sets of u across grid refinements
-to estimate the dimension of the divergence locus.
+to estimate the dimension of the divergence locus.  The operator is
+linear, so the small-time probe forms no reference field: its error u/t
+minus the data is one inverse of the error multiplier (sphere minus one,
+times the mollifier) per probe time.
 
 Convention: unit propagation speed and a probability-normalized sphere,
 so u(x, t) = t * average and u/t tends to the (mollified) data exactly.
@@ -86,10 +89,15 @@ def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
                         times=(0.2, 0.1, 0.05)) -> PointwiseReport:
     """Convergence order of u(., t)/t toward the data as t shrinks.
 
-    The reference profile is the zero-radius limit of the same pipeline
-    (the mollified data), so the measured error isolates the curvature
-    term of the sphere average, which is quadratic in t.  One measure
-    transform is shared across all probe times.
+    The data are taken mollified, the zero-radius limit of the same
+    pipeline, so the measured error isolates the curvature term of the
+    sphere average, which is quadratic in t.  The averaging operator is
+    linear, so u/t minus the mollified data is one radial multiplier,
+    (sphere_multiplier(3)(t rho) - 1) * mollifier_hat(eps rho), on the
+    transform of f dmu: each probe time's sup error is read off one inverse
+    of it, with no reference field and no cancellation between two O(1)
+    fields.  One measure transform is shared across all probe times, and
+    the last time inverts in its memory.
     """
     if grid.dim != 3:
         raise ParameterError(f"need a d=3 grid, got d={grid.dim}")
@@ -102,14 +110,15 @@ def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
         _check_t(t, grid)
     eps = default_mollify_eps(grid)
     spec = Spectrum(f, mu, grid)
-    target = spec.apply(lambda rho: mollifier_hat(eps * rho)).values
     base = sphere_multiplier(3)
     errors = []
-    for t in t_arr:
-        # each apply returns a fresh field, reduced in its own memory
-        err = spec.apply(lambda rho: base(t * rho) * mollifier_hat(eps * rho)).values
-        err -= target
+    for i, t in enumerate(t_arr):
+        apply = spec._apply_in_place if i == len(t_arr) - 1 else spec.apply
+        # each error field is reduced in its own memory and dropped before
+        # the next inverse
+        err = apply(lambda rho: (base(t * rho) - 1.0) * mollifier_hat(eps * rho)).values
         errors.append(float(np.max(np.abs(err, out=err))))
+        del err
     fit = loglog_fit(t_arr, errors)
     return PointwiseReport(times=t_arr, errors=tuple(errors), fit=fit)
 

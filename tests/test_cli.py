@@ -142,7 +142,8 @@ def test_invalid_measure_parameter_exits_3(tmp_path, capsys):
 
 
 def test_atom_overflow_exits_4(tmp_path):
-    # every constructor checks the atom cap before it allocates an array
+    # every constructor checks the atom and coordinate caps before it
+    # allocates an array
     for measure in (
             {"kind": "product-cantor", "ratio": 0.25, "depth": 13,
              "copies": 2},
@@ -152,7 +153,9 @@ def test_atom_overflow_exits_4(tmp_path):
             {"kind": "radial-power", "d": 3, "grid_n": 1024},
             # the CLI's list of factors is refused before it is built
             {"kind": "product-cantor", "ratio": 0.25, "depth": 1,
-             "copies": 2 ** 18}):
+             "copies": 2 ** 18},
+            # 2^25 atoms pass the atom cap, but not with 25 coordinates each
+            {"kind": "product-cantor", "depth": 1, "copies": 25}):
         cfg = _cfg(tmp_path, "c.json", {"experiment": "gen-measure",
                                         "measure": measure})
         tracemalloc.start()
@@ -564,14 +567,17 @@ THREAD_RUNS = [
     # the in-place complex inverse over two axes of a 3-d field
     ("wave", {"mode": "solution", "measure": _BOX3, "grid": _GRID32_3D,
               "t": 0.4}),
+    # the shared spectrum, two inverses beside it and the last in its memory
+    ("wave", {"mode": "pointwise", "measure": _BOX3, "grid": _GRID32_3D}),
 ]
 
 
 def test_threads_and_plan_cache_leave_the_bits_unchanged(tmp_path,
                                                         monkeypatch):
-    for command, doc in THREAD_RUNS:
-        cfg = _cfg(tmp_path, command + ".json", {"experiment": command, **doc})
-        outs = [tmp_path / f"{command}-threads{n}" for n in (1, 2)]
+    for i, (command, doc) in enumerate(THREAD_RUNS):
+        run = f"{i}-{command}"  # a command may have several rows
+        cfg = _cfg(tmp_path, run + ".json", {"experiment": command, **doc})
+        outs = [tmp_path / f"{run}-threads{n}" for n in (1, 2)]
         try:
             for n, out in zip((1, 2), outs):
                 assert main([command, "--config", cfg, "--seed", "7",

@@ -45,16 +45,20 @@ def test_radial_shells_match_quad_oracle():
                                                                 rel=1e-12)
 
 
-def test_sphere_shells_match_log_ratio_closed_form_d3():
+def _zonal_band_d3(t, chord_max, k):
     # zonal bands of (t c)^-2 / log(1/(t c)) integrate in closed form
+    d_k, d_km1 = chord_max * 2.0 ** -k, chord_max * 2.0 ** (1 - k)
+    return (2.0 * math.pi / t ** 2) * math.log(
+        math.log(1.0 / (t * d_k)) / math.log(1.0 / (t * d_km1)))
+
+
+def test_sphere_shells_match_log_ratio_closed_form_d3():
     rep = stein_example(3, 1.5, 3.0)
     t = 0.125
     series = dict(rep.probe_series)[t]
     for k in (1, 10, 30):
-        d_k, d_km1 = 2.0 ** (1 - k), 2.0 ** (2 - k)
-        want = (2.0 * math.pi / t ** 2) * math.log(
-            math.log(1.0 / (t * d_k)) / math.log(1.0 / (t * d_km1)))
-        assert series.increments[k - 1] == pytest.approx(want, rel=1e-12)
+        assert series.increments[k - 1] == pytest.approx(
+            _zonal_band_d3(t, 2.0, k), rel=1e-12)
 
 
 def test_sphere_shells_match_quad_oracle_d2():
@@ -71,6 +75,29 @@ def test_sphere_shells_match_quad_oracle_d2():
 
         want, _ = quad(integrand, th_lo, th_hi)
         assert series.increments[k - 1] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("shells", [700, 1000])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_series_stays_finite_up_to_the_shell_cap(d, shells):
+    # in d = 3 the density (t c)^-2 alone passes the float range at level
+    # ~512; formed in log space with the band's angular measure it does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stein = stein_example(d, 1.5, 3.0, shells=shells)
+        fixed = fixed_time_sharpness(d, 1.5, shells=shells)
+    probes = [(t, 2.0, series) for t, series in stein.probe_series]
+    probes.append((1.0, 0.5, fixed.probe_series))
+    for t, chord_max, series in probes:
+        assert len(series.increments) == shells
+        assert all(0.0 < v < math.inf for v in series.increments)
+        assert all(math.isfinite(v) for v in series.partial_sums)
+        if d == 3:
+            for k in (500, 520, shells):
+                assert series.increments[k - 1] == pytest.approx(
+                    _zonal_band_d3(t, chord_max, k), rel=1e-12)
+    assert math.isfinite(stein.divergence_slope) and stein.divergence_slope > 0.0
+    assert math.isfinite(fixed.divergence_slope) and fixed.divergence_slope > 0.0
 
 
 def test_convergent_partial_sum_matches_full_integral():

@@ -1,20 +1,29 @@
 """Wave module tests: closed-form oracles, small-time order, blowup probe."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from frostlab import wave3d
+from frostlab import spectral, wave3d
 from frostlab.cli import main
 from frostlab.errors import DomainError, ParameterError
 from frostlab.measures import (
     cantor_measure,
     lebesgue_box_measure,
     product_measure,
+    random_ball_measure,
 )
 from frostlab.norms import grid_operator_handle, lp_norm, opnorm_lower
-from frostlab.spectral import Field, SpectralGrid, load_field_binary
+from frostlab.operators import default_mollify_eps, sphere_multiplier
+from frostlab.spectral import (
+    Field,
+    SpectralGrid,
+    Spectrum,
+    load_field_binary,
+    mollifier_hat,
+)
 from frostlab.wave3d import (
     _box_dimension,
     blowup_probe,
@@ -141,6 +150,46 @@ def test_pointwise_validation(grid128, grid32, mu_small):
         pointwise_limit_fit(f, mu_small, grid2)
     with pytest.raises(DomainError):
         pointwise_limit_fit(f, mu_small, grid32, times=(1.5, 0.2, 0.1))
+
+
+@pytest.mark.parametrize("binned", [True, False], ids=["binned", "spread"])
+def test_pointwise_errors_match_the_difference_of_two_fields(grid32, mu_small,
+                                                             binned):
+    # the oracle: u/t and the mollified data as two fields, subtracted
+    mu = mu_small if binned else random_ball_measure(3, 300, seed=3, radius=0.5)
+    assert (spectral._lattice_indices(mu, grid32) is not None) == binned
+    f = gaussian(0.3)
+    times = (0.4, 0.2, 0.1)
+    rep = pointwise_limit_fit(f, mu, grid32, times=times)
+    eps = default_mollify_eps(grid32)
+    base = sphere_multiplier(3)
+    spec = Spectrum(f, mu, grid32)
+    target = spec.apply(lambda rho: mollifier_hat(eps * rho)).values
+    scale = np.max(np.abs(target))
+    for t, err in zip(times, rep.errors):
+        u = spec.apply(lambda rho: base(t * rho) * mollifier_hat(eps * rho)).values
+        assert abs(err - np.max(np.abs(u - target))) <= 1e-12 * scale
+    assert rep.errors[-1] > 1e-6 * scale
+
+
+def test_pointwise_limit_fit_peaks_near_two_half_lattices():
+    # the spectrum and one inverse's buffer, plus a slab of the inverse's
+    # temporaries: 2.26 half lattices at 64^3, the last time inverting in
+    # the spectrum's memory.  The mollified target as a third field and a
+    # fourth inverse took 4.26
+    n = 64
+    grid = SpectralGrid(3, n, 2.0)
+    mu = lebesgue_box_measure(3, 1.5, 24)
+    assert spectral._lattice_indices(mu, grid) is not None
+    f = gaussian(0.35)
+    pointwise_limit_fit(f, mu, grid)  # build the per-grid tables
+    tracemalloc.start()
+    try:
+        pointwise_limit_fit(f, mu, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.35 * n * n * (n // 2 + 1) * 16
 
 
 def test_gaussian_target_validation(grid128):
