@@ -35,7 +35,8 @@ _MEASURE_MAGIC = b"FMEAS001"
 _PAIR_BLOCK = 2**19
 _MAX_ENERGY_ATOMS = 100_000
 _MAX_ATOMS = 2**25
-# atom coordinates: the atom cap in three dimensions, 768 MiB of float64
+# atom coordinates: the atom cap in three dimensions, 768 MiB of float64;
+# only a product of measures can pass the atom cap and still exceed it
 _MAX_COORDS = 3 * _MAX_ATOMS
 
 
@@ -120,20 +121,15 @@ def measure_from_atoms(atoms, weights, nominal_s=None, construction="custom",
 
 # ---- constructors ----
 
-def _check_atom_count(count: int, dim: int, what: str) -> None:
-    """Refuse a measure above the atom cap, or whose atoms have more
-    coordinates than the cap of atoms in three dimensions, before any array
-    is allocated."""
+def _check_atom_count(count: int, what: str) -> None:
+    """Refuse a measure above the atom cap before any array is allocated."""
     if count > _MAX_ATOMS:
         raise ResourceError(f"{what} would have {count} atoms (cap {_MAX_ATOMS})")
-    if count * dim > _MAX_COORDS:
-        raise ResourceError(f"{what} would have {count} atoms in {dim} dimensions,"
-                            f" {count * dim} coordinates (cap {_MAX_COORDS})")
 
 
 def _node_lattice(d: int, n: int, h: float) -> np.ndarray:
     """The (n + 1)^d nodes j*h, |j_i| <= n/2, as rows in C order of j."""
-    _check_atom_count((n + 1) ** d, d, "lattice")
+    _check_atom_count((n + 1) ** d, "lattice")
     half = n // 2
     axis = np.arange(-half, half + 1) * h
     grids = np.meshgrid(*([axis] * d), indexing="ij")
@@ -170,8 +166,12 @@ def product_measure(factors) -> DiscreteMeasure:
         raise ParameterError("product of zero factors")
     if len(factors) == 1:
         return factors[0]
-    _check_atom_count(math.prod(f.n_atoms for f in factors),
-                      sum(f.dim for f in factors), "product")
+    count = math.prod(f.n_atoms for f in factors)
+    _check_atom_count(count, "product")
+    dim = sum(f.dim for f in factors)
+    if count * dim > _MAX_COORDS:
+        raise ResourceError(f"product would have {count} atoms in {dim} dimensions,"
+                            f" {count * dim} coordinates (cap {_MAX_COORDS})")
 
     atoms = factors[0].atoms
     weights = factors[0].weights
@@ -264,7 +264,7 @@ def sphere_measure(d: int, t: float, n_points: int) -> DiscreteMeasure:
         raise ParameterError(f"t must be positive, got {t}")
     if n_points < 64:
         raise ParameterError(f"n_points must be at least 64, got {n_points}")
-    _check_atom_count(n_points, d, "sphere")
+    _check_atom_count(n_points, "sphere")
     if d == 2:
         theta = 2.0 * np.pi * np.arange(n_points) / n_points
         pts = t * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -315,7 +315,7 @@ def random_ball_measure(d: int, n_atoms: int, seed: int,
         raise ParameterError(f"d must be 1, 2 or 3, got {d}")
     if n_atoms < 1:
         raise ParameterError("n_atoms must be positive")
-    _check_atom_count(n_atoms, d, "random ball")
+    _check_atom_count(n_atoms, "random ball")
     rng = np.random.default_rng(seed)
     normals = rng.standard_normal((n_atoms, d))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)

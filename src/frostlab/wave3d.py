@@ -96,8 +96,7 @@ def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
     (sphere_multiplier(3)(t rho) - 1) * mollifier_hat(eps rho), on the
     transform of f dmu: each probe time's sup error is read off one inverse
     of it, with no reference field and no cancellation between two O(1)
-    fields.  One measure transform is shared across all probe times, and
-    the last time inverts in its memory.
+    fields.  One measure transform is shared across all probe times.
     """
     if grid.dim != 3:
         raise ParameterError(f"need a d=3 grid, got d={grid.dim}")
@@ -112,11 +111,10 @@ def pointwise_limit_fit(f, mu: DiscreteMeasure, grid: SpectralGrid,
     spec = Spectrum(f, mu, grid)
     base = sphere_multiplier(3)
     errors = []
-    for i, t in enumerate(t_arr):
-        apply = spec._apply_in_place if i == len(t_arr) - 1 else spec.apply
+    for t in t_arr:
         # each error field is reduced in its own memory and dropped before
         # the next inverse
-        err = apply(lambda rho: (base(t * rho) - 1.0) * mollifier_hat(eps * rho)).values
+        err = spec.apply(lambda rho: (base(t * rho) - 1.0) * mollifier_hat(eps * rho)).values
         errors.append(float(np.max(np.abs(err, out=err))))
         del err
     fit = loglog_fit(t_arr, errors)

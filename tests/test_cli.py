@@ -142,8 +142,8 @@ def test_invalid_measure_parameter_exits_3(tmp_path, capsys):
 
 
 def test_atom_overflow_exits_4(tmp_path):
-    # every constructor checks the atom and coordinate caps before it
-    # allocates an array
+    # every constructor checks the atom cap, and a product its coordinates
+    # too, before it allocates an array
     for measure in (
             {"kind": "product-cantor", "ratio": 0.25, "depth": 13,
              "copies": 2},
@@ -567,7 +567,7 @@ THREAD_RUNS = [
     # the in-place complex inverse over two axes of a 3-d field
     ("wave", {"mode": "solution", "measure": _BOX3, "grid": _GRID32_3D,
               "t": 0.4}),
-    # the shared spectrum, two inverses beside it and the last in its memory
+    # the shared spectrum and one inverse beside it per probe time
     ("wave", {"mode": "pointwise", "measure": _BOX3, "grid": _GRID32_3D}),
 ]
 

@@ -174,9 +174,8 @@ def test_pointwise_errors_match_the_difference_of_two_fields(grid32, mu_small,
 
 def test_pointwise_limit_fit_peaks_near_two_half_lattices():
     # the spectrum and one inverse's buffer, plus a slab of the inverse's
-    # temporaries: 2.26 half lattices at 64^3, the last time inverting in
-    # the spectrum's memory.  The mollified target as a third field and a
-    # fourth inverse took 4.26
+    # temporaries: 2.26 half lattices at 64^3.  The mollified target as a
+    # third field and a fourth inverse took 4.26
     n = 64
     grid = SpectralGrid(3, n, 2.0)
     mu = lebesgue_box_measure(3, 1.5, 24)
