@@ -51,7 +51,6 @@ from .spectral import (
     mollifier_hat,
     partition_residual,
     save_field_binary,
-    set_fft_workers,
     strichartz_profile,
     to_freq,
     to_space,

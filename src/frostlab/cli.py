@@ -69,7 +69,6 @@ from .spectral import (
     decay_fit,
     measure_fourier,
     save_field_binary,
-    set_fft_workers,
     strichartz_profile,
 )
 from .suite import run_suite
@@ -630,11 +629,6 @@ _HANDLERS = {
 }
 
 
-# the subcommands that run an FFT, the only ones --threads acts on
-_FFT_COMMANDS = ("fourier", "strichartz", "avg", "maximal", "opnorm", "growth",
-                 "wave", "suite")
-
-
 def _seed_type(text: str) -> int:
     value = int(text)
     if not (0 <= value < 2 ** 64):
@@ -660,9 +654,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 metavar="SUBCOMMAND")
     for name in _HANDLERS:
         sub.add_parser(name, parents=[common])
-    for name in _FFT_COMMANDS:
-        sub.choices[name].add_argument("--threads", type=int, metavar="N",
-                                       help="cap FFT worker threads")
     sub.choices["suite"].add_argument("--quick", action="store_true",
                                       help="trim the slowest suite fixtures")
     return parser
@@ -673,10 +664,6 @@ def main(argv=None) -> int:
     out = Path(args.out)
     before = None  # the files in --out before this run, once it exists
     try:
-        if getattr(args, "threads", None) is not None:
-            if args.threads < 1:
-                raise ConfigError("threads", "must be a positive integer")
-            set_fft_workers(args.threads)
         r = _Reader(_load_config(args.config, args.command))
         out.mkdir(parents=True, exist_ok=True)
         before = set(out.iterdir())

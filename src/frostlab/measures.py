@@ -581,20 +581,31 @@ def save_measure_json(mu: DiscreteMeasure, path) -> None:
 
 
 def load_measure_json(path) -> DiscreteMeasure:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "frostlab-measure":
+    """Read a save_measure_json file.  A file that is not JSON, not a
+    measure object, short of a field or holding a bad value is a
+    ParameterError that names the path, as in the binary loaders."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ParameterError(f"{path}: not a JSON file ({e})") from None
+    if not isinstance(doc, dict) or doc.get("format") != "frostlab-measure":
         raise ParameterError(f"{path} is not a frostlab measure file")
-    atoms = np.asarray(doc["atoms"], dtype=np.float64)
-    return DiscreteMeasure(
-        dim=int(doc["dim"]), atoms=atoms,
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        total_mass=float(doc["total_mass"]),
-        nominal_s=doc["nominal_s"],
-        construction=doc["construction"],
-        box_lo=np.asarray(doc["box_lo"], dtype=np.float64),
-        box_hi=np.asarray(doc["box_hi"], dtype=np.float64),
-        resolution=float(doc["resolution"]))
+    try:
+        return DiscreteMeasure(
+            dim=int(doc["dim"]),
+            atoms=np.asarray(doc["atoms"], dtype=np.float64),
+            weights=np.asarray(doc["weights"], dtype=np.float64),
+            total_mass=float(doc["total_mass"]),
+            nominal_s=doc["nominal_s"],
+            construction=doc["construction"],
+            box_lo=np.asarray(doc["box_lo"], dtype=np.float64),
+            box_hi=np.asarray(doc["box_hi"], dtype=np.float64),
+            resolution=float(doc["resolution"]))
+    except KeyError as e:
+        raise ParameterError(f"{path}: missing field {e}") from None
+    except (TypeError, ValueError) as e:  # ParameterError among them
+        raise ParameterError(f"{path}: {e}") from None
 
 
 def save_measure_binary(mu: DiscreteMeasure, path) -> None:

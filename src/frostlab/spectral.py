@@ -30,10 +30,14 @@ element: a change of atoms, box or grid builds a new one.  A plan costs
 to 2^22 values (about 48 MB), and larger problems spread each transform
 afresh.
 
-f is real, so both routes transform a real grid with rfftn's 1-d
-transforms in rfftn's order, and so with its bits, but only what is read
-(_transform): the grid is built on its occupied rows, a row of zeros is
-not transformed, and of the fine grid only the central modes are kept.
+Every transform stage is one 1-d numpy.fft call (rfft, fft, ifft,
+irfft), run along the axes in the order scipy.fft's n-d transforms use.
+Both libraries run the same pocketfft 1-d transforms, so the results
+have scipy.fft's bits.  f is real, so both routes transform a real grid
+with rfftn's 1-d transforms in rfftn's order, and so with its bits, but
+only what is read (_transform): the grid is built on its occupied rows,
+a row of zeros is not transformed, and of the fine grid only the central
+modes are kept.
 On the lattice every row is kept, so the stages run in the buffer that
 is returned, and a 3-d half lattice peaks at about one half lattice.
 `Spectrum`, which the operators go through, keeps the half lattice of
@@ -55,7 +59,6 @@ own memory, so a 256^3 field costs one half lattice, not three.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -96,15 +99,6 @@ _INVERSE_SLAB = 2**15
 # many complex values (64 KB) beside the final buffer they fill: with 2^15
 # a 64^3 spherical_average peaked at 1.36 half lattices, with 2^12 at 1.25
 _STAGE_CHUNK = 2**12
-
-_fft_workers = 1
-
-
-def set_fft_workers(n: int) -> None:
-    """Cap FFT worker threads at n and at the core count (results are
-    identical for any cap)."""
-    global _fft_workers
-    _fft_workers = max(1, min(int(n), os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -462,8 +456,6 @@ def _transform(c: np.ndarray, mu: DiscreteMeasure, grid: SpectralGrid,
     is exact, not a mirror of the central half lattice, because the fine
     grid holds +n/2 on every axis and the binned lattice is periodic.
     """
-    import scipy.fft
-
     n, d, h = grid.n_per_axis, grid.dim, grid.n_per_axis // 2
     values, occupied = _real_block(c, mu, grid)
     size = values.shape[-1]  # N
@@ -475,14 +467,14 @@ def _transform(c: np.ndarray, mu: DiscreteMeasure, grid: SpectralGrid,
     keep = None
     if spread:
         keep = k % size if half else np.append(k % size, h)
-    spec = scipy.fft.rfft(values, axis=-1, workers=_fft_workers)[..., :h + 1]
+    spec = np.fft.rfft(values, axis=-1)[..., :h + 1]
     del values
     for a, rows in enumerate(occupied):
         # what a row of zeros holds before axis a, signed zeros as rfftn
         # leaves them: the same transforms of a grid of zeros, one row wide
         # on the axes not yet transformed
         if a == 0:
-            empty = scipy.fft.rfft(np.zeros((1,) * (d - 1) + (size,)))[..., :h + 1]
+            empty = np.fft.rfft(np.zeros((1,) * (d - 1) + (size,)))[..., :h + 1]
         else:
             shape = empty.shape[:a - 1] + (size,) + empty.shape[a:]
             empty = _fft_kept(np.broadcast_to(empty, shape), a - 1, keep)
@@ -543,11 +535,10 @@ def _stage_into_final(spec: np.ndarray, rows: np.ndarray, nxt: np.ndarray,
 
 
 def _fft_kept(x: np.ndarray, axis: int, keep) -> np.ndarray:
-    """scipy.fft.fft of x along axis, on x's memory when it may, then the
-    rows keep of that axis (None: all)."""
-    import scipy.fft
-
-    x = scipy.fft.fft(x, axis=axis, workers=_fft_workers, overwrite_x=x.flags.writeable)
+    """The fft of x along axis, written into x unless x is read-only (a
+    broadcast row of zeros), then the rows keep of that axis (None:
+    all)."""
+    x = np.fft.fft(x, axis=axis, out=x if x.flags.writeable else None)
     return x if keep is None else np.take(x, keep, axis=axis)
 
 
@@ -570,28 +561,36 @@ def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> Field:
 
 
 def to_space(field: Field) -> Field:
-    """Inverse transform: f(x_j) = sum_k F(xi_k) exp(2 pi i x_j . xi_k) dxi^d."""
-    import scipy.fft
+    """Inverse transform: f(x_j) = sum_k F(xi_k) exp(2 pi i x_j . xi_k) dxi^d.
 
+    The 1-d inverses run along axes 0, 1, ..., d-1 in that order, as
+    scipy.fft.ifftn runs them, and so give its bits."""
     if field.rep != "freq":
         raise ParameterError("to_space expects a frequency-side field")
     g = field.grid
     scale = (g.n_per_axis * g.freq_step) ** g.dim
-    vals = field.values.copy()
+    vals = field.values.astype(np.complex128)  # a copy, transformed in place
     for sign in _mode_factors(g, False, False):
         vals *= sign
-    vals = scale * scipy.fft.ifftn(vals, workers=_fft_workers, overwrite_x=True)
+    for a in range(g.dim):
+        np.fft.ifft(vals, axis=a, out=vals)
+    vals *= scale
     return Field(g, vals, "space")
 
 
 def to_freq(field: Field) -> Field:
-    """Forward transform of a space-side field by the same convention."""
-    import scipy.fft
+    """Forward transform of a space-side field by the same convention.
 
+    The 1-d transforms run along axes 0, 1, ..., d-1, as scipy.fft.fftn
+    runs them on complex values (to_space's), and so give its bits.  A
+    real field is transformed as a complex one, which differs from
+    scipy.fft.fftn's real route by roundoff."""
     if field.rep != "space":
         raise ParameterError("to_freq expects a space-side field")
     g = field.grid
-    vals = scipy.fft.fftn(field.values, workers=_fft_workers)
+    vals = field.values.astype(np.complex128)  # a copy, transformed in place
+    for a in range(g.dim):
+        np.fft.fft(vals, axis=a, out=vals)
     for sign in _mode_factors(g, False, False):
         vals *= sign
     return Field(g, g.spacing**g.dim * vals, "freq")
@@ -659,30 +658,26 @@ def _inverse(half: np.ndarray, grid: SpectralGrid, table: np.ndarray,
 
     In the stages irfftn runs: the product, formed slab by slab along axis
     0 with each slab's keys, so no full-size gather or key table is built;
-    an unnormalised complex inverse over axes 0..d-2, in place; then the
-    real inverse of the last axis, slab by slab, each slab's lines scaled
-    by 1/n^d into the front of x.  A real line takes n values, its complex
-    line n + 2, so real lines i0:i1 end before complex line i1 starts: no
-    value is written before it is read.  Each value is scaled once, after
+    an unnormalised complex inverse along axes 0, 1, ..., d-2, each
+    written into x (numpy.fft's out=x); then the real inverse of the last
+    axis, slab by slab, each slab's lines scaled by 1/n^d into the front
+    of x.  A real line takes n values, its complex line n + 2, so real
+    lines i0:i1 end before complex line i1 starts: no value is written
+    before it is read.  Each value is scaled once, after
     its last stage, which keeps subnormal bits."""
-    import scipy.fft
-
     n, d = grid.n_per_axis, grid.dim
     for s, keys in _key_slabs(grid):
         np.multiply(half[s], table[keys], out=x[s])
     del keys  # the last slab's, not to be held through the stages below
-    if d > 1:
-        # on a complex input with overwrite_x, scipy.fft writes into x
-        scipy.fft.ifftn(x, axes=tuple(range(d - 1)), norm="forward",
-                        workers=_fft_workers, overwrite_x=True)
+    for a in range(d - 1):
+        np.fft.ifft(x, axis=a, norm="forward", out=x)
     lines = x.reshape(-1, x.shape[-1])
     real = x.reshape(-1).view(np.float64)[:lines.shape[0] * n].reshape(-1, n)
     step = max(1, _INVERSE_SLAB // lines.shape[1])
     for i0 in range(0, lines.shape[0], step):
         s = slice(i0, i0 + step)
-        np.multiply(scipy.fft.irfft(lines[s], n=n, norm="forward",
-                                    workers=_fft_workers, overwrite_x=True),
-                    1.0 / n**d, out=real[s])
+        np.multiply(np.fft.irfft(lines[s], n=n, norm="forward"), 1.0 / n**d,
+                    out=real[s])
     return real.reshape((n,) * d)
 
 

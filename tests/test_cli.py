@@ -22,7 +22,6 @@ from frostlab.spectral import (
     SpectralGrid,
     load_field_binary,
     measure_fourier,
-    set_fft_workers,
 )
 from frostlab.wave3d import wave_solution
 
@@ -206,12 +205,8 @@ def test_too_few_frostman_probes_exits_3(tmp_path, capsys, n_probes):
     assert "n_probes" in capsys.readouterr().err
 
 
-def test_bad_threads_exits_3(tmp_path):
-    assert main(["avg", "--threads", "0", "--out", str(tmp_path)]) == 3
-
-
-@pytest.mark.parametrize("command",
-                         sorted(set(cli._HANDLERS) - set(cli._FFT_COMMANDS)))
+# FFTs run on one thread and no subcommand takes a thread count
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
 def test_threads_is_an_fft_flag_only(tmp_path, command):
     with pytest.raises(SystemExit) as err:
         main([command, "--threads", "2", "--out", str(tmp_path)])
@@ -553,10 +548,11 @@ def test_identical_config_and_seed_give_identical_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-# the transform routes with worker threads or caches: an off-lattice
-# Cantor square goes through the spread plan, the maximal function and
-# opnorm through many transforms of one measure
-THREAD_RUNS = [
+# the transform routes with caches: an off-lattice Cantor square goes
+# through the spread plan, the maximal function and opnorm through many
+# transforms of one measure.  Each row runs twice, first with cold caches,
+# then with the caches the first run left
+CACHE_RUNS = [
     ("avg", {"measure": _SQUARE, "grid": _GRID64, "t": 0.5,
              "density": _GAUSS}),
     ("maximal", {"measure": _SQUARE, "t_grid_n": 3,
@@ -572,18 +568,23 @@ THREAD_RUNS = [
 ]
 
 
+def _clear_caches(monkeypatch):
+    monkeypatch.setattr(spectral, "_plan_cache", None)
+    spectral._occurring_keys.cache_clear()
+    spectral._radius_table.cache_clear()
+    spectral._mode_factors.cache_clear()
+
+
 def test_threads_and_plan_cache_leave_the_bits_unchanged(tmp_path,
                                                         monkeypatch):
-    for i, (command, doc) in enumerate(THREAD_RUNS):
+    for i, (command, doc) in enumerate(CACHE_RUNS):
         run = f"{i}-{command}"  # a command may have several rows
         cfg = _cfg(tmp_path, run + ".json", {"experiment": command, **doc})
-        outs = [tmp_path / f"{run}-threads{n}" for n in (1, 2)]
-        try:
-            for n, out in zip((1, 2), outs):
-                assert main([command, "--config", cfg, "--seed", "7",
-                             "--threads", str(n), "--out", str(out)]) == 0
-        finally:
-            set_fft_workers(1)
+        outs = [tmp_path / f"{run}-{caches}" for caches in ("cold", "warm")]
+        _clear_caches(monkeypatch)
+        for out in outs:
+            assert main([command, "--config", cfg, "--seed", "7",
+                         "--out", str(out)]) == 0
         names = sorted(path.name for path in outs[0].iterdir())
         assert "manifest.json" in names
         assert names == sorted(path.name for path in outs[1].iterdir())
@@ -595,10 +596,7 @@ def test_threads_and_plan_cache_leave_the_bits_unchanged(tmp_path,
     grid = SpectralGrid(2, 64, 2.0)
     assert spectral._lattice_indices(mu, grid) is None
     f = np.cos(np.arange(mu.n_atoms))
-    monkeypatch.setattr(spectral, "_plan_cache", None)
-    spectral._occurring_keys.cache_clear()
-    spectral._radius_table.cache_clear()
-    spectral._mode_factors.cache_clear()
+    _clear_caches(monkeypatch)
     cold = spherical_average(f, mu, 0.5, grid).values
     assert spectral._plan_cache is not None
     assert spectral._occurring_keys.cache_info().currsize == 1
@@ -645,12 +643,20 @@ def test_exponents_and_counterexample_load_no_scipy_submodule(tmp_path):
     assert _heavy_scipy_after(code) == set()
 
 
-def test_avg_loads_fft_but_not_spatial(tmp_path):
+def test_avg_loads_special_but_not_fft_or_spatial(tmp_path):
     cfg = _cfg(tmp_path, "c.json", {"experiment": "avg", "measure": _SQUARE,
                                     "grid": _GRID64})
     code = ("from frostlab.cli import main\n"
             f"assert main(['avg', '--config', {cfg!r}, '--out', "
             f"{str(tmp_path / 'a')!r}]) == 0")
     loaded = _heavy_scipy_after(code)
-    assert "scipy.fft" in loaded
-    assert not loaded & {"scipy.spatial", "scipy.linalg"}
+    assert "scipy.special" in loaded  # the 2-d sphere multiplier's j0
+    assert not loaded & {"scipy.fft", "scipy.spatial", "scipy.linalg"}
+
+
+def test_wave_solution_loads_no_scipy_submodule(tmp_path):
+    # the default run: its box's atoms sit on grid nodes, so they are
+    # binned (no spread plan), and the 3-d sphere multiplier is closed form
+    code = ("from frostlab.cli import main\n"
+            f"assert main(['wave', '--out', {str(tmp_path / 'w')!r}]) == 0")
+    assert _heavy_scipy_after(code) == set()

@@ -411,6 +411,23 @@ def test_json_round_trip(tmp_path):
     _assert_measures_equal(mu, load_measure_json(path))
 
 
+# files that load_measure_json cannot read: each is a ParameterError that
+# names the path
+@pytest.mark.parametrize("text", [
+    '{"format": "frostlab-measure"}',
+    "not json",
+    "[1, 2]",
+    '{"format": "frostlab-measure", "dim": "two"}',
+], ids=["missing-fields", "not-json", "not-an-object", "bad-value"])
+def test_json_rejects_unreadable_file(tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ParameterError) as err:
+        load_measure_json(path)
+    assert type(err.value) is ParameterError
+    assert str(path) in str(err.value)
+
+
 def test_binary_round_trip(tmp_path):
     mu = product_measure([cantor_measure(1 / 3, 4), cantor_measure(0.25, 4)])
     path = tmp_path / "m.fmeas"

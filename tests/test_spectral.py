@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import os
 import struct
 import tracemalloc
 from unittest import mock
@@ -41,7 +40,6 @@ from frostlab.spectral import (
     mollifier_hat,
     partition_residual,
     save_field_binary,
-    set_fft_workers,
     strichartz_profile,
     to_freq,
     to_space,
@@ -77,16 +75,6 @@ def test_grid_invariants():
     assert g.spacing == pytest.approx(4.0 / 512)
     assert g.freq_step == pytest.approx(0.25)
     np.testing.assert_allclose(g.axis_freqs(), np.fft.fftfreq(512, d=g.spacing))
-
-
-def test_fft_workers_capped_at_core_count():
-    old = spectral._fft_workers
-    try:
-        set_fft_workers(10**6)
-        assert spectral._fft_workers == (os.cpu_count() or 1)
-    finally:
-        set_fft_workers(old)
-    assert spectral._fft_workers == old
 
 
 def test_grid_validation():
@@ -291,11 +279,7 @@ def test_wrapping_rows_give_the_same_bytes_every_way(monkeypatch, d, n):
     # leading axis and, through the edge, the first; rows between stay empty
     for rows in occupied:
         assert rows[0] == 0 and rows[-1] == 2 * n - 1 and rows.size < 2 * n
-    try:
-        set_fft_workers(2)
-        threaded = wrapping_fields(d, n)
-    finally:
-        set_fft_workers(1)
+    again = wrapping_fields(d, n)
     # the transform at the same positions reused the cached rows
     assert spectral._plan_cache[3] is occupied
     with monkeypatch.context() as m:
@@ -303,7 +287,7 @@ def test_wrapping_rows_give_the_same_bytes_every_way(monkeypatch, d, n):
         m.setattr(spectral, "_plan_cache", None)
         streamed = wrapping_fields(d, n)
         assert spectral._plan_cache is None
-    assert planned == threaded == streamed
+    assert planned == again == streamed
 
 
 def _moved_in_place(mu, grid):
