@@ -52,8 +52,6 @@ from .spectral import (
     partition_residual,
     save_field_binary,
     strichartz_profile,
-    to_freq,
-    to_space,
 )
 from .operators import (
     RieszRowReport,

@@ -424,14 +424,6 @@ class RieszDivergenceReport:
     probe: tuple
     depth: int
 
-    @property
-    def partial_sums(self):
-        return self.series.partial_sums
-
-    @property
-    def increments(self):
-        return self.series.increments
-
     def csv_rows(self):
         rows = [_CSV_HEADER]
         _series_csv(rows, "potential", self.series)

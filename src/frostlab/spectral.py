@@ -165,8 +165,7 @@ class Field:
     """Values on a spectral grid, in space or frequency representation.
 
     Frequency-side values are complex128.  Space-side values are float64,
-    from Spectrum.apply and every operator, or complex128 only from
-    to_space."""
+    from Spectrum.apply and every operator."""
 
     grid: SpectralGrid
     values: np.ndarray
@@ -558,42 +557,6 @@ def measure_fourier(f, mu: DiscreteMeasure, grid: SpectralGrid) -> Field:
     _check_in_box(mu, grid)
     c = _atom_values(f, mu) * mu.weights
     return Field(grid, _transform(c, mu, grid, False), "freq")
-
-
-def to_space(field: Field) -> Field:
-    """Inverse transform: f(x_j) = sum_k F(xi_k) exp(2 pi i x_j . xi_k) dxi^d.
-
-    The 1-d inverses run along axes 0, 1, ..., d-1 in that order, as
-    scipy.fft.ifftn runs them, and so give its bits."""
-    if field.rep != "freq":
-        raise ParameterError("to_space expects a frequency-side field")
-    g = field.grid
-    scale = (g.n_per_axis * g.freq_step) ** g.dim
-    vals = field.values.astype(np.complex128)  # a copy, transformed in place
-    for sign in _mode_factors(g, False, False):
-        vals *= sign
-    for a in range(g.dim):
-        np.fft.ifft(vals, axis=a, out=vals)
-    vals *= scale
-    return Field(g, vals, "space")
-
-
-def to_freq(field: Field) -> Field:
-    """Forward transform of a space-side field by the same convention.
-
-    The 1-d transforms run along axes 0, 1, ..., d-1, as scipy.fft.fftn
-    runs them on complex values (to_space's), and so give its bits.  A
-    real field is transformed as a complex one, which differs from
-    scipy.fft.fftn's real route by roundoff."""
-    if field.rep != "space":
-        raise ParameterError("to_freq expects a space-side field")
-    g = field.grid
-    vals = field.values.astype(np.complex128)  # a copy, transformed in place
-    for a in range(g.dim):
-        np.fft.fft(vals, axis=a, out=vals)
-    for sign in _mode_factors(g, False, False):
-        vals *= sign
-    return Field(g, g.spacing**g.dim * vals, "freq")
 
 
 def _key_slabs(grid: SpectralGrid, full: bool = False):

@@ -33,13 +33,12 @@ from .operators import (
 )
 from .spectral import (
     SpectralGrid,
+    Spectrum,
     decay_fit,
-    field_at_points,
     field_l2sq,
     measure_fourier,
+    mollifier_hat,
     partition_residual,
-    to_freq,
-    to_space,
 )
 from .wave3d import blowup_probe, pointwise_limit_fit, sharpness_family
 
@@ -197,7 +196,7 @@ def _gaussian_probe_gap() -> float:
     ii = np.array([56, 60, 64, 68, 72])
     probes = np.stack(np.meshgrid(ax[ii], ax[ii], ax[ii], indexing="ij"),
                       axis=-1).reshape(-1, 3)
-    got = field_at_points(out, probes)
+    got = out.values[np.ix_(ii, ii, ii)].ravel()  # the probes are grid nodes
     r = np.linalg.norm(probes, axis=1)
     x1 = 2.0 * ap * t * r
     ref = (1.0 + 2.0 * a * eps * eps) ** -1.5 \
@@ -232,17 +231,25 @@ def criterion_5(quick: bool) -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    """Partition residual, transform round trip, and sphere decay rates."""
+    """Partition residual, the operators' transform and inverse: a round
+    trip and Parseval, and sphere decay rates."""
     residual = max(partition_residual(SpectralGrid(2, 256, 2.0)),
                    partition_residual(SpectralGrid(1, 4096, 2.0)))
-    field = measure_fourier(None, product_measure([cantor_measure(0.25, 6)] * 2),
-                            SpectralGrid(2, 256, 2.0))
-    spatial = to_space(field)
-    back = to_freq(spatial)
-    round_gap = float(np.max(np.abs(back.values - field.values))
-                      / np.max(np.abs(field.values)))
-    l2_freq = field_l2sq(field)
-    parseval_gap = abs(l2_freq - field_l2sq(spatial)) / l2_freq
+    grid = SpectralGrid(2, 256, 2.0)
+    # 64 atoms at multiples of 3/64, on the 1/64 lattice: the unit
+    # profile's inverse, times the cell area, gives back each atom's weight
+    mu = product_measure([cantor_measure(0.25, 3)] * 2)
+    strengths = np.zeros((grid.n_per_axis,) * 2)
+    nodes = np.round((mu.atoms + grid.box_half_width) / grid.spacing).astype(int)
+    np.add.at(strengths, tuple(nodes.T), mu.weights)
+    back = Spectrum(None, mu, grid).apply(np.ones_like).values * grid.spacing**2
+    round_gap = float(np.max(np.abs(back - strengths)) / np.max(strengths))
+    # off the lattice: Cantor square depth 6, through the spreader
+    spec = Spectrum(None, product_measure([cantor_measure(0.25, 6)] * 2), grid)
+    eps = default_mollify_eps(grid)
+    l2_freq = spec.energy(lambda rho: mollifier_hat(eps * rho) ** 2)
+    parseval_gap = abs(l2_freq - field_l2sq(
+        spec.apply(lambda rho: mollifier_hat(eps * rho)))) / l2_freq
     decay3 = -decay_fit(measure_fourier(
         None, sphere_measure(3, 1.0, 8192), SpectralGrid(3, 128, 2.0))).slope
     decay2 = -decay_fit(measure_fourier(

@@ -395,10 +395,9 @@ def test_potential_slope_bands():
 
 def test_potential_partial_sums_monotone():
     rep = riesz_divergence(2, 1.0, 0.8, levels=12)
-    sums = np.array(rep.partial_sums)
+    sums = np.array(rep.series.partial_sums)
     assert np.all(np.diff(sums) >= 0.0)
-    assert rep.partial_sums == rep.series.partial_sums
-    assert np.allclose(np.cumsum(rep.increments), sums)
+    assert np.allclose(np.cumsum(rep.series.increments), sums)
 
 
 def test_potential_verdicts_stable_under_more_levels():

@@ -41,8 +41,6 @@ from frostlab.spectral import (
     partition_residual,
     save_field_binary,
     strichartz_profile,
-    to_freq,
-    to_space,
 )
 
 GRID2 = SpectralGrid(2, 256, 2.0)
@@ -466,13 +464,14 @@ def test_binned_stages_in_the_final_buffer_are_rfftn_bit_for_bit(chunk, half):
 
 
 @st.composite
-def spectrum_cases(draw):
+def spectrum_cases(draw, lattice=None):
     """A small grid in d = 1, 2, 3, up to 24 atoms either on grid nodes
-    (binned) or anywhere in [-L, L)^d (spread), and signed real f."""
+    (binned) or anywhere in [-L, L)^d (spread), and signed real f.
+    lattice=True keeps the atoms on grid nodes; None draws which."""
     d = draw(st.integers(1, 3))
     grid = SpectralGrid(d, draw(st.sampled_from([8, 16, 32])), 2.0)
     k = draw(st.integers(1, 24))
-    if draw(st.booleans()):
+    if lattice or (lattice is None and draw(st.booleans())):
         nodes = hnp.arrays(np.int64, (k, d),
                            elements=st.integers(0, grid.n_per_axis - 1))
         atoms = -2.0 + grid.spacing * draw(nodes)
@@ -506,11 +505,29 @@ def test_spectrum_apply_matches_full_lattice_route(case, t):
     grid, mu, f = case
     w = damped_cosine(grid, t)
     got = spectral.Spectrum(f, mu, grid).apply(w)
-    full = measure_fourier(f, mu, grid)
-    want = to_space(Field(grid, full.values * w(grid.freq_radii()), "freq"))
+    # numpy's own inverse of the full lattice: the sign (-1)^k moves the
+    # origin back to the box corner, and (n dxi)^d makes the sum a
+    # Riemann sum over the frequencies
+    full = measure_fourier(f, mu, grid).values * w(grid.freq_radii())
+    k = np.fft.fftfreq(grid.n_per_axis, d=1.0 / grid.n_per_axis).astype(np.int64)
+    sign = (-1.0) ** sum(np.ix_(*[k] * grid.dim))
+    want = np.fft.ifftn(full * sign) * (grid.n_per_axis * grid.freq_step) ** grid.dim
     assert got.rep == "space"
     assert got.values.dtype == np.float64
-    assert np.max(np.abs(got.values - want.values)) <= 1e-12 * space_bound(f, mu, grid)
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * space_bound(f, mu, grid)
+
+
+@PROPERTY
+@given(spectrum_cases(lattice=True))
+def test_spectrum_inverts_its_transform_on_the_lattice(case):
+    # the unit profile's inverse, times the cell volume, gives back each
+    # node's strength: _transform then _inverse is the identity
+    grid, mu, f = case
+    back = spectral.Spectrum(f, mu, grid).apply(np.ones_like).values * grid.spacing**grid.dim
+    nodes = np.round((mu.atoms + grid.box_half_width) / grid.spacing).astype(np.int64)
+    strengths = np.zeros((grid.n_per_axis,) * grid.dim)
+    np.add.at(strengths, tuple(nodes.T), f * mu.weights)
+    assert np.max(np.abs(back - strengths)) <= 1e-12 * np.sum(np.abs(f) * mu.weights)
 
 
 def k2_table(grid):
@@ -835,27 +852,16 @@ def test_uniform_interval_transform_matches_sinc():
     assert np.max(np.abs(np.abs(field.values[ks]) - target)) < 1e-6
 
 
-# ---- round trip and Parseval ----
-
-def test_round_trip_and_parseval():
-    field = measure_fourier(None, CANTOR4SQ, GRID2)
-    spatial = to_space(field)
-    back = to_freq(spatial)
-    scale = np.max(np.abs(field.values))
-    assert np.max(np.abs(back.values - field.values)) / scale < 1e-10
-    assert field_l2sq(field) == pytest.approx(field_l2sq(spatial), rel=1e-10)
-
+# ---- space-side fields ----
 
 def test_rep_tags_enforced():
     field = measure_fourier(None, dirac(2), GRID2)
-    with pytest.raises(ParameterError):
-        to_freq(field)
     with pytest.raises(ParameterError):
         field_at_points(field, np.zeros((1, 2)))
 
 
 def test_field_at_points_matches_nodes():
-    field = to_space(measure_fourier(None, CANTOR4SQ, GRID2))
+    field = spectral.Spectrum(None, CANTOR4SQ, GRID2).apply(mollifier_hat)
     g = field.grid
     ax = g.space_axis()
     pts = np.array([[ax[10], ax[20]], [ax[100], ax[200]]])
@@ -869,7 +875,7 @@ def test_field_at_points_matches_nodes():
 
 
 def test_field_at_points_guard_states_its_range():
-    field = to_space(measure_fourier(None, dirac(2), SpectralGrid(2, 64, 2.0)))
+    field = spectral.Spectrum(None, dirac(2), SpectralGrid(2, 64, 2.0)).apply(mollifier_hat)
     L, dx = 2.0, field.grid.spacing
     assert field_at_points(field, [[-L, L - dx]]).shape == (1,)
     # inside the box [-L, L) but past the last node, so no cell to interpolate in
@@ -881,7 +887,7 @@ def test_field_at_points_guard_states_its_range():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_field_at_points_refuses_non_finite_points(bad):
-    field = to_space(measure_fourier(None, dirac(2), SpectralGrid(2, 64, 2.0)))
+    field = spectral.Spectrum(None, dirac(2), SpectralGrid(2, 64, 2.0)).apply(mollifier_hat)
     with pytest.raises(DomainError, match="interpolation points must lie in"):
         field_at_points(field, [[0.0, 0.0], [0.5, bad]])
 
@@ -1000,10 +1006,10 @@ def test_field_binary_round_trip(tmp_path):
     assert loaded.rep == "freq" and loaded.values.dtype == np.complex128
     assert loaded.grid == field.grid
     np.testing.assert_array_equal(loaded.values, field.values)
-    spatial = to_space(field)
+    spatial = spectral.Spectrum(None, CANTOR4SQ, GRID2).apply(mollifier_hat)
     save_field_binary(spatial, path)
     loaded = load_field_binary(path)
-    assert loaded.rep == "space" and loaded.values.dtype == np.complex128
+    assert loaded.rep == "space" and loaded.values.dtype == np.float64
     np.testing.assert_array_equal(loaded.values, spatial.values)
 
 
