@@ -30,13 +30,11 @@ from .measures import (
     frostman_fit,
     lebesgue_box_measure,
     load_measure_binary,
-    load_measure_json,
     measure_from_atoms,
     product_measure,
     radial_power_measure,
     random_ball_measure,
     save_measure_binary,
-    save_measure_json,
     sphere_measure,
 )
 from .spectral import (

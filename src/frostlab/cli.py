@@ -49,7 +49,6 @@ from .measures import (
     radial_power_measure,
     random_ball_measure,
     save_measure_binary,
-    save_measure_json,
     sphere_measure,
 )
 from .norms import (
@@ -335,30 +334,6 @@ def _fit_rows(fit: FitReport):
                      for v in fit.csv_row())]
 
 
-def _plane_csv_rows(header: str, axis: np.ndarray, plane: np.ndarray,
-                    z: str = "") -> list[str]:
-    """The header, then "x,y,<z>value" at each (axis[i], axis[j]); z is
-    empty or a fixed column with its comma.  Numbers are repr of Python
-    floats, converted by tolist() in one pass."""
-    ax = [repr(x) for x in axis.tolist()]
-    rows = [header]
-    for x, line in zip(ax, plane.tolist()):
-        rows.extend(f"{x},{y},{z}{v!r}" for y, v in zip(ax, line))
-    return rows
-
-
-def _write_field(out: Path, field):
-    """field.bin, and slice.csv of a real field: the plane in 2d, z = 0 in 3d."""
-    save_field_binary(field, out / "field.bin")
-    ax, v = field.grid.space_axis(), field.values
-    if v.ndim == 2:
-        rows = _plane_csv_rows("x,y,value", ax, v)
-    else:
-        k = field.grid.n_per_axis // 2
-        rows = _plane_csv_rows("x,y,z,value", ax, v[:, :, k], f"{float(ax[k])!r},")
-    _write_csv(out / "slice.csv", rows)
-
-
 # ---- subcommand handlers ----
 # Each handler reads its config through the reader, calls done() before any
 # work, and writes its artifacts; main writes manifest.json from the record.
@@ -368,7 +343,6 @@ def _run_gen_measure(r: _Reader, args, out: Path) -> int:
     n_probes = r.section("frostman", {"n_probes": 256}).get("n_probes", 256)
     r.done()
     report = frostman_fit(mu, n_probes=n_probes, seed=args.seed)
-    save_measure_json(mu, out / "measure.json")
     save_measure_binary(mu, out / "measure.bin")
     rows = ["radius,max_mass,min_mass"]
     for rad, hi, lo in zip(report.radii, report.max_masses, report.min_masses):
@@ -431,7 +405,7 @@ def _run_avg(r: _Reader, args, out: Path) -> int:
     t = r.get("t", 0.5)
     r.done()
     field = spherical_average(f, mu, t, grid)
-    _write_field(out, field)
+    save_field_binary(field, out / "field.bin")
     print(f"avg: radius {t} sup {float(np.abs(field.values).max()):.6g}"
           f" -> {out}")
     return 0
@@ -445,7 +419,7 @@ def _run_maximal(r: _Reader, args, out: Path) -> int:
     t_grid_n = r.get("t_grid_n", 16)
     r.done()
     field = maximal_function(f, mu, default_t_grid(t_grid_n), grid)
-    _write_field(out, field)
+    save_field_binary(field, out / "field.bin")
     print(f"maximal: {t_grid_n + 1} radii sup"
           f" {float(np.abs(field.values).max()):.6g} -> {out}")
     return 0
@@ -581,24 +555,15 @@ def _run_wave(r: _Reader, args, out: Path) -> int:
     f = _build_density(r, wave=True)
     if mode == "solution":
         t = r.get("t", 0.4)
-        z = r.get("slice_z", 0.0)
         r.done()
-        axis = grid.space_axis()
-        if not axis[0] <= z <= -axis[0]:
-            raise DomainError(f"slice height {z} outside the box")
         u = wave_solution(f, mu, t, grid)
         save_field_binary(u, out / "field.bin")
-        # the constant-z plane nearest the requested height
-        k = int(np.argmin(np.abs(axis - z)))
-        _write_csv(out / "slice.csv",
-                   _plane_csv_rows("x,y,u", axis, u.values[:, :, k]))
         print(f"wave: solution at t={t} sup"
               f" {float(np.abs(u.values).max()):.6g} -> {out}")
         return 0
     times = r.get("times", [0.2, 0.1, 0.05])
     r.done()
     rep = pointwise_limit_fit(f, mu, grid, times=tuple(times))
-    _write_csv(out / "pointwise.csv", rep.csv_rows())
     _write_json(out / "verdict.json", rep.verdict_json())
     print(f"wave: pointwise order {rep.order:.4f} -> {out}")
     return 0

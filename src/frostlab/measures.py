@@ -18,7 +18,6 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -562,52 +561,6 @@ def chain_triple_profile(mu: DiscreteMeasure, t: float, eps_list) -> np.ndarray:
 
 # ---- serialization ----
 
-def save_measure_json(mu: DiscreteMeasure, path) -> None:
-    doc = {
-        "format": "frostlab-measure",
-        "version": 1,
-        "dim": mu.dim,
-        "construction": mu.construction,
-        "nominal_s": mu.nominal_s,
-        "total_mass": mu.total_mass,
-        "resolution": mu.resolution,
-        "box_lo": mu.box_lo.tolist(),
-        "box_hi": mu.box_hi.tolist(),
-        "atoms": mu.atoms.tolist(),
-        "weights": mu.weights.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, allow_nan=False)
-
-
-def load_measure_json(path) -> DiscreteMeasure:
-    """Read a save_measure_json file.  A file that is not JSON, not a
-    measure object, short of a field or holding a bad value is a
-    ParameterError that names the path, as in the binary loaders."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise ParameterError(f"{path}: not a JSON file ({e})") from None
-    if not isinstance(doc, dict) or doc.get("format") != "frostlab-measure":
-        raise ParameterError(f"{path} is not a frostlab measure file")
-    try:
-        return DiscreteMeasure(
-            dim=int(doc["dim"]),
-            atoms=np.asarray(doc["atoms"], dtype=np.float64),
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            total_mass=float(doc["total_mass"]),
-            nominal_s=doc["nominal_s"],
-            construction=doc["construction"],
-            box_lo=np.asarray(doc["box_lo"], dtype=np.float64),
-            box_hi=np.asarray(doc["box_hi"], dtype=np.float64),
-            resolution=float(doc["resolution"]))
-    except KeyError as e:
-        raise ParameterError(f"{path}: missing field {e}") from None
-    except (TypeError, ValueError) as e:  # ParameterError among them
-        raise ParameterError(f"{path}: {e}") from None
-
-
 def save_measure_binary(mu: DiscreteMeasure, path) -> None:
     """Little-endian binary layout behind an 8-byte magic."""
     tag = mu.construction.encode("utf-8")
@@ -620,8 +573,8 @@ def save_measure_binary(mu: DiscreteMeasure, path) -> None:
         fh.write(mu.box_hi.astype("<f8").tobytes())
         fh.write(struct.pack("<I", len(tag)))
         fh.write(tag)
-        fh.write(mu.atoms.astype("<f8").tobytes())
-        fh.write(mu.weights.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(mu.atoms, dtype="<f8"))
+        fh.write(np.ascontiguousarray(mu.weights, dtype="<f8"))
 
 
 def _read_exact(fh, size: int, path) -> bytes:

@@ -174,7 +174,7 @@ def quadrature_spherical_average(f, mu: DiscreteMeasure, t: float,
 _MAX_T_GRID_N = 1024
 
 
-def default_t_grid(n: int = 64) -> np.ndarray:
+def default_t_grid(n: int) -> np.ndarray:
     """Geometric grid 2^(j/n), j = 0..n, covering [1,2]; nested across n | m.
 
     Each radius costs the maximal function one inverse transform, so n is
@@ -263,7 +263,7 @@ class RieszRowReport:
 
 
 def riesz_row_sum(mu: DiscreteMeasure, alpha_mu: float, x,
-                  level_cap: int = 30) -> RieszRowReport:
+                  level_cap: int) -> RieszRowReport:
     """Schur-type row sum sum_m 2^{m(d-alpha)} mu(shell_m(x)) over dyadic shells.
 
     Shell m collects atoms at distance in (2^-m, 2^{-m+1}]; atoms closer than

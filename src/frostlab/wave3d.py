@@ -71,11 +71,6 @@ class PointwiseReport:
     def order(self) -> float:
         return self.fit.slope
 
-    def csv_rows(self):
-        rows = ["t,sup_error"]
-        rows.extend(f"{t!r},{e!r}" for t, e in zip(self.times, self.errors))
-        return rows
-
     def verdict_json(self):
         return {
             "construction": "small-time-limit",

@@ -20,7 +20,6 @@ import frostlab
 DEFAULTED_PARAMETERS = {
     ("blowup_probe", "refinements"),
     ("blowup_probe", "threshold_fraction"),
-    ("default_t_grid", "n"),
     ("fixed_time_sharpness", "shells"),
     ("frostman_fit", "n_probes"),
     ("frostman_fit", "seed"),
@@ -31,7 +30,6 @@ DEFAULTED_PARAMETERS = {
     ("radial_power_measure", "log_u"),
     ("random_ball_measure", "radius"),
     ("riesz_divergence", "levels"),
-    ("riesz_row_sum", "level_cap"),
     ("run_suite", "quick"),
     ("run_suite", "seed"),
     ("stein_example", "shells"),
@@ -69,7 +67,6 @@ PENDING = {
     "ball_mass": "item 11: the dimension report",
     "load_field_binary": "item 12: a CLI path that reads the artifacts",
     "load_measure_binary": "item 12: a CLI path that reads the artifacts",
-    "load_measure_json": "item 12: a CLI path that reads the artifacts",
 }
 
 

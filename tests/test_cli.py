@@ -14,7 +14,7 @@ from frostlab.cli import main
 from frostlab.measures import (
     cantor_measure,
     lebesgue_box_measure,
-    load_measure_json,
+    load_measure_binary,
     product_measure,
 )
 from frostlab.operators import default_t_grid, maximal_function, spherical_average
@@ -272,14 +272,15 @@ def test_gen_measure_artifacts_round_trip(tmp_path):
         "measure": {"kind": "product-cantor", "ratio": 0.25, "depth": 4,
                     "copies": 2}})
     assert main(["gen-measure", "--config", cfg, "--out", str(tmp_path)]) == 0
-    mu = load_measure_json(tmp_path / "measure.json")
+    mu = load_measure_binary(tmp_path / "measure.bin")
     assert mu.n_atoms == 256
+    assert mu.atoms.tobytes() == product_measure(
+        [cantor_measure(0.25, 4)] * 2).atoms.tobytes()
     blob = (tmp_path / "frostman.csv").read_bytes()
     assert blob.startswith(b"radius,max_mass,min_mass\r\n")
     assert blob.endswith(b"\r\n")
     scalars = json.loads((tmp_path / "frostman.json").read_text())
     assert 0.8 <= scalars["fitted_s"] <= 1.2
-    assert (tmp_path / "measure.bin").exists()
 
 
 def test_counterexample_default_artifacts(tmp_path):
@@ -308,10 +309,13 @@ def test_wave_solution_slice_artifact(tmp_path):
         "measure": {"kind": "lebesgue-box", "d": 3, "half_width": 1.0,
                     "n_cells": 8}})
     assert main(["wave", "--config", cfg, "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "slice.csv").read_bytes().decode().split("\r\n")
-    assert lines[0] == "x,y,u"
-    assert len(lines) == 1 + 32 * 32 + 1
-    assert (tmp_path / "field.bin").exists()
+    field = load_field_binary(tmp_path / "field.bin")
+    assert field.rep == "space" and field.values.dtype == np.float64
+    assert field.values.shape == (32, 32, 32)
+    # the plane z = 0, at index n/2, read straight from the file
+    plane = np.fromfile(tmp_path / "field.bin", dtype="<f8", offset=30).reshape(
+        32, 32, 32)[:, :, 16]
+    assert plane.tobytes() == field.values[:, :, 16].tobytes()
 
 
 def test_wave_density_one_is_the_constant(tmp_path):
@@ -388,36 +392,49 @@ _GAUSS = {"kind": "gaussian", "width": 0.5}
 _BOX3 = {"kind": "lebesgue-box", "d": 3, "half_width": 1.0, "n_cells": 6}
 _GRID32_3D = {"dim": 3, "n_per_axis": 32, "box_half_width": 2.0}
 
-# one small valid run of every subcommand but suite, with non-random measures
+# one small valid run of every subcommand but suite, with non-random
+# measures, and the files each run writes besides manifest.json
 SMALL_RUNS = [
     ("gen-measure", {"measure": {"kind": "cantor", "ratio": 0.3, "depth": 4},
-                     "frostman": {"n_probes": 16}}),
-    ("fourier", {"measure": _SQUARE, "grid": _GRID64, "density": _GAUSS}),
+                     "frostman": {"n_probes": 16}},
+     {"measure.bin", "frostman.csv", "frostman.json"}),
+    ("fourier", {"measure": _SQUARE, "grid": _GRID64, "density": _GAUSS},
+     {"field.bin", "fit.csv"}),
     ("strichartz", {"measure": {"kind": "sphere", "d": 2, "t": 1.0,
                                 "n_points": 64},
-                    "grid": _GRID64, "radii": [1.0, 2.0], "s": 1.0}),
+                    "grid": _GRID64, "radii": [1.0, 2.0], "s": 1.0},
+     {"strichartz.csv"}),
     ("avg", {"measure": {"kind": "radial-power", "d": 2, "s": 1.0,
                          "grid_n": 16, "log_u": 2.0},
-             "grid": _GRID64, "density": _GAUSS, "t": 0.25}),
+             "grid": _GRID64, "density": _GAUSS, "t": 0.25},
+     {"field.bin"}),
     ("maximal", {"measure": _SQUARE, "t_grid_n": 3,
-                 "grid": {"dim": 2, "n_per_axis": 64, "box_half_width": 4.0}}),
+                 "grid": {"dim": 2, "n_per_axis": 64, "box_half_width": 4.0}},
+     {"field.bin"}),
     ("opnorm", {"measure": _SQUARE, "grid": _GRID64, "t": 0.5, "p": 3.0,
                 "nu": {"kind": "lebesgue-box", "d": 2, "half_width": 1.0,
-                       "n_cells": 8}, "family": "bumps"}),
+                       "n_cells": 8}, "family": "bumps"},
+     {"opnorm.json", "witnesses.csv"}),
     ("growth", {"measure": _SQUARE, "j_values": [2, 3, 4],
-                "grid": {"dim": 2, "n_per_axis": 256, "box_half_width": 2.0}}),
-    ("exponents", {"d": 3, "s_mu": 2.5, "s_nu": 3.0, "region": {"n": 4}}),
+                "grid": {"dim": 2, "n_per_axis": 256, "box_half_width": 2.0}},
+     {"growth.csv", "fit.csv"}),
+    ("exponents", {"d": 3, "s_mu": 2.5, "s_nu": 3.0, "region": {"n": 4}},
+     {"exponents.json", "region.csv"}),
     ("counterexample", {"kind": "mattila", "d": 2, "alpha": 1.0, "beta": 0.5,
-                        "p": 4.0, "eps": [2.0 ** -k for k in range(6, 10)]}),
-    ("counterexample", {"kind": "stein", "shells": 12}),
+                        "p": 4.0, "eps": [2.0 ** -k for k in range(6, 10)]},
+     {"series.csv", "verdict.json"}),
+    ("counterexample", {"kind": "stein", "shells": 12},
+     {"series.csv", "verdict.json"}),
     ("wave", {"mode": "solution", "measure": _BOX3, "grid": _GRID32_3D,
-              "t": 0.3, "slice_z": 0.0}),
+              "t": 0.3}, {"field.bin"}),
     ("wave", {"mode": "pointwise", "measure": _BOX3, "grid": _GRID32_3D,
-              "density": _GAUSS, "times": [0.3, 0.2, 0.1]}),
-    ("wave", {"mode": "blowup", "refinements": [32, 64], "t": 1.0}),
+              "density": _GAUSS, "times": [0.3, 0.2, 0.1]},
+     {"verdict.json"}),
+    ("wave", {"mode": "blowup", "refinements": [32, 64], "t": 1.0},
+     {"blowup.csv", "verdict.json"}),
 ]
 RUN_IDS = [f"{cmd}-{doc.get('kind') or doc.get('mode') or ''}"
-           for cmd, doc in SMALL_RUNS]
+           for cmd, doc, _ in SMALL_RUNS]
 
 
 def _run(tmp_path, name, command, doc):
@@ -428,9 +445,10 @@ def _run(tmp_path, name, command, doc):
     return out / "manifest.json"
 
 
-@pytest.mark.parametrize("command, doc", SMALL_RUNS, ids=RUN_IDS)
-def test_manifest_config_round_trips(tmp_path, command, doc):
+@pytest.mark.parametrize("command, doc, files", SMALL_RUNS, ids=RUN_IDS)
+def test_manifest_config_round_trips(tmp_path, command, doc, files):
     first = _run(tmp_path, "a", command, doc)
+    assert {p.name for p in first.parent.iterdir()} == files | {"manifest.json"}
     again = json.loads(first.read_text())["config"]
     assert _run(tmp_path, "b", command, again).read_bytes() == \
         first.read_bytes()
@@ -466,7 +484,8 @@ def _wrong_typed(value):
     return "x"  # lists and sections
 
 
-@pytest.mark.parametrize("command, doc", SMALL_RUNS, ids=RUN_IDS)
+@pytest.mark.parametrize("command, doc", [run[:2] for run in SMALL_RUNS],
+                         ids=RUN_IDS)
 def test_every_recorded_field_is_type_checked(tmp_path, capsys, command, doc):
     record = json.loads(_run(tmp_path, "a", command, doc).read_text())["config"]
     capsys.readouterr()
@@ -486,31 +505,26 @@ _BOX3_MU = lebesgue_box_measure(3, 1.0, 6)
 _GRID64_L4 = {"dim": 2, "n_per_axis": 64, "box_half_width": 4.0}
 _GRID16_3D = {"dim": 3, "n_per_axis": 16, "box_half_width": 2.0}
 
-# (command, config, the same field computed in process, slice.csv header)
+# (command, config, the same field computed in process)
 LAYOUT_RUNS = [
     ("fourier", {"measure": _SQUARE, "grid": _GRID64},
-     lambda: measure_fourier(None, _SQUARE_MU, SpectralGrid(**_GRID64)), None),
+     lambda: measure_fourier(None, _SQUARE_MU, SpectralGrid(**_GRID64))),
     ("avg", {"measure": _SQUARE, "grid": _GRID64, "t": 0.5},
-     lambda: spherical_average(None, _SQUARE_MU, 0.5, SpectralGrid(**_GRID64)),
-     "x,y,value"),
+     lambda: spherical_average(None, _SQUARE_MU, 0.5, SpectralGrid(**_GRID64))),
     ("avg", {"measure": _BOX3, "grid": _GRID16_3D, "t": 0.5},
-     lambda: spherical_average(None, _BOX3_MU, 0.5, SpectralGrid(**_GRID16_3D)),
-     "x,y,z,value"),
+     lambda: spherical_average(None, _BOX3_MU, 0.5, SpectralGrid(**_GRID16_3D))),
     ("maximal", {"measure": _SQUARE, "grid": _GRID64_L4, "t_grid_n": 3},
      lambda: maximal_function(None, _SQUARE_MU, default_t_grid(3),
-                              SpectralGrid(**_GRID64_L4)),
-     "x,y,value"),
+                              SpectralGrid(**_GRID64_L4))),
     ("wave", {"mode": "solution", "measure": _BOX3, "grid": _GRID16_3D,
               "density": {"kind": "one"}, "t": 0.3},
-     lambda: wave_solution(None, _BOX3_MU, 0.3, SpectralGrid(**_GRID16_3D)),
-     "x,y,u"),
+     lambda: wave_solution(None, _BOX3_MU, 0.3, SpectralGrid(**_GRID16_3D))),
 ]
 
 
-@pytest.mark.parametrize("command, doc, compute, header", LAYOUT_RUNS,
+@pytest.mark.parametrize("command, doc, compute", LAYOUT_RUNS,
                          ids=["fourier", "avg-2d", "avg-3d", "maximal", "wave"])
-def test_field_artifacts_keep_the_field_dtype(tmp_path, command, doc, compute,
-                                              header):
+def test_field_artifacts_keep_the_field_dtype(tmp_path, command, doc, compute):
     out = _run(tmp_path, command, command, doc).parent
     field = compute()
     complex_field = command == "fourier"
@@ -521,16 +535,6 @@ def test_field_artifacts_keep_the_field_dtype(tmp_path, command, doc, compute,
     loaded = load_field_binary(out / "field.bin")
     assert loaded.values.dtype == field.values.dtype
     assert loaded.values.tobytes() == field.values.tobytes()  # signbits too
-    if header is None:
-        assert not (out / "slice.csv").exists()
-        return
-    rows = (out / "slice.csv").read_bytes().decode().split("\r\n")
-    assert rows[0] == header and rows[-1] == ""
-    n = field.grid.n_per_axis
-    # 2-d: the whole field; 3-d: the plane z = 0, at index n/2
-    plane = field.values if field.grid.dim == 2 else field.values[:, :, n // 2]
-    got = np.array([float(row.rsplit(",", 1)[1]) for row in rows[1:-1]])
-    assert got.tobytes() == plane.tobytes()
 
 
 # ---- determinism ----
@@ -544,7 +548,7 @@ def test_identical_config_and_seed_give_identical_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["avg", "--config", cfg, "--seed", "7", "--out", str(a)]) == 0
     assert main(["avg", "--config", cfg, "--seed", "7", "--out", str(b)]) == 0
-    for name in ("slice.csv", "field.bin", "manifest.json"):
+    for name in ("field.bin", "manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 

@@ -24,13 +24,11 @@ from frostlab.measures import (
     frostman_fit,
     lebesgue_box_measure,
     load_measure_binary,
-    load_measure_json,
     measure_from_atoms,
     product_measure,
     radial_power_measure,
     random_ball_measure,
     save_measure_binary,
-    save_measure_json,
     sphere_measure,
 )
 
@@ -402,30 +400,6 @@ def _assert_measures_equal(a: DiscreteMeasure, b: DiscreteMeasure):
     if a.nominal_s is not None:
         assert a.nominal_s == b.nominal_s
     assert a.resolution == b.resolution
-
-
-def test_json_round_trip(tmp_path):
-    mu = cantor_measure(0.25, 5)
-    path = tmp_path / "m.json"
-    save_measure_json(mu, path)
-    _assert_measures_equal(mu, load_measure_json(path))
-
-
-# files that load_measure_json cannot read: each is a ParameterError that
-# names the path
-@pytest.mark.parametrize("text", [
-    '{"format": "frostlab-measure"}',
-    "not json",
-    "[1, 2]",
-    '{"format": "frostlab-measure", "dim": "two"}',
-], ids=["missing-fields", "not-json", "not-an-object", "bad-value"])
-def test_json_rejects_unreadable_file(tmp_path, text):
-    path = tmp_path / "m.json"
-    path.write_text(text)
-    with pytest.raises(ParameterError) as err:
-        load_measure_json(path)
-    assert type(err.value) is ParameterError
-    assert str(path) in str(err.value)
 
 
 def test_binary_round_trip(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import j0
 
-from frostlab import cli, spectral
+from frostlab import spectral
 from frostlab.errors import DomainError, FitError, ParameterError, ResourceError
 from frostlab.measures import (
     cantor_measure,
@@ -983,20 +983,6 @@ def test_strichartz_bounded_by_mass_multiple():
 
 
 # ---- serialization ----
-
-def test_plane_csv_rows_match_per_cell_float_repr():
-    rng = np.random.default_rng(3)
-    axis = np.linspace(-2.0, 2.0, 7)
-    plane = rng.normal(size=(7, 7))
-    plane[0, :4] = [-0.0, 5e-324, 1 / 3, 2.0**60]
-    for z in ("", f"{float(axis[3])!r},"):
-        want = ["h"]
-        for i in range(7):
-            for j in range(7):
-                want.append(f"{float(axis[i])!r},{float(axis[j])!r},{z}"
-                            f"{float(plane[i, j])!r}")
-        assert cli._plane_csv_rows("h", axis, plane, z) == want
-
 
 def test_field_binary_round_trip(tmp_path):
     field = measure_fourier(None, CANTOR4SQ, GRID2)

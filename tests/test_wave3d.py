@@ -134,9 +134,6 @@ def test_pointwise_order_meets_quadratic_rate(grid128, mu_lattice):
     blob = rep.verdict_json()
     assert blob["construction"] == "small-time-limit"
     assert blob["order"] == rep.order
-    rows = rep.csv_rows()
-    assert rows[0] == "t,sup_error"
-    assert len(rows) == 4
 
 
 def test_pointwise_validation(grid128, grid32, mu_small):
@@ -202,9 +199,9 @@ def test_gaussian_target_validation(grid128):
 # ---- field artifacts ----
 
 def test_slice_csv_and_binary_roundtrip(grid32, mu_small, tmp_path, capsys):
-    # `frostlab wave` writes the solution as field.bin and the constant-z
-    # plane nearest slice_z (0.3 here, nearest plane z = 0.25) as slice.csv
-    doc = {"experiment": "wave", "mode": "solution", "t": 0.5, "slice_z": 0.3,
+    # `frostlab wave` writes the solution as field.bin only; any constant-z
+    # plane is a slice of the array that file holds
+    doc = {"experiment": "wave", "mode": "solution", "t": 0.5,
            "grid": {"dim": 3, "n_per_axis": 32, "box_half_width": 2.0},
            "measure": {"kind": "lebesgue-box", "d": 3, "half_width": 0.5,
                        "n_cells": 8},
@@ -213,21 +210,17 @@ def test_slice_csv_and_binary_roundtrip(grid32, mu_small, tmp_path, capsys):
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
     u = wave_solution(gaussian(0.3), mu_small, 0.5, grid32).values
-    rows = (tmp_path / "a" / "slice.csv").read_bytes().decode().split("\r\n")
-    assert rows[0] == "x,y,u"
-    assert len(rows) == 1 + 32 * 32 + 1
-    x, y, val = (float(v) for v in rows[1].split(","))
-    axis = grid32.space_axis()
-    k = int(np.argmin(np.abs(axis - 0.3)))
-    assert axis[k] == 0.25
-    assert (x, y, val) == (axis[0], axis[0], u[0, 0, k])
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+        "field.bin", "manifest.json"]
     back = load_field_binary(tmp_path / "a" / "field.bin")
     assert back.rep == "space"
-    assert np.array_equal(back.values.real, u)
-    doc["slice_z"] = 5.0
+    assert back.values.tobytes() == u.tobytes()
+    # the wave config has no slice height; an unread field is refused
+    doc["slice_z"] = 0.3
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 3
-    assert "slice height 5.0 outside the box" in capsys.readouterr().err
+    assert "config error: slice_z: unknown field" in capsys.readouterr().err
+    assert list((tmp_path / "b").iterdir()) == []
 
 
 # ---- blowup probing ----
