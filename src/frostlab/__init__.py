@@ -74,7 +74,6 @@ from .norms import (
     grid_operator_handle,
     lp_norm,
     opnorm_lower,
-    witness_csv_rows,
 )
 from .exponents import (
     Interval,

@@ -14,11 +14,13 @@ parameters: <message>"), 4 resource limit ("resource limit: <message>").
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import math
 import platform
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +53,7 @@ from .measures import (
     save_measure_binary,
     sphere_measure,
 )
-from .norms import (
-    FAMILIES,
-    grid_operator_handle,
-    opnorm_lower,
-    witness_csv_rows,
-)
+from .norms import FAMILIES, grid_operator_handle, opnorm_lower
 from .operators import (
     default_t_grid,
     maximal_function,
@@ -77,8 +74,6 @@ from .wave3d import (
     sharpness_family,
     wave_solution,
 )
-
-__all__ = ["main"]
 
 
 # ---- config reader ----
@@ -295,9 +290,11 @@ def _build_density(r: _Reader, wave: bool = False):
 # ---- artifact plumbing ----
 
 def _write_csv(path: Path, rows):
-    # RFC 4180 line endings, explicit so the platform newline never leaks in
+    # RFC 4180 line endings, explicit so the platform newline never leaks in;
+    # each value is written as str(v), for a float its shortest round-trip
+    # form, and a field holding a comma or a quote is quoted
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(rows) + "\r\n")
+        csv.writer(fh, lineterminator="\r\n").writerows(rows)
 
 
 def _write_json(path: Path, doc):
@@ -329,9 +326,7 @@ def _write_manifest(out: Path, experiment: str, materialized: dict, seed: int):
 
 
 def _fit_rows(fit: FitReport):
-    return [",".join(FitReport.csv_header()),
-            ",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                     for v in fit.csv_row())]
+    return [[f.name for f in fields(fit)], astuple(fit)]
 
 
 # ---- subcommand handlers ----
@@ -344,10 +339,9 @@ def _run_gen_measure(r: _Reader, args, out: Path) -> int:
     r.done()
     report = frostman_fit(mu, n_probes=n_probes, seed=args.seed)
     save_measure_binary(mu, out / "measure.bin")
-    rows = ["radius,max_mass,min_mass"]
-    for rad, hi, lo in zip(report.radii, report.max_masses, report.min_masses):
-        rows.append(f"{float(rad)!r},{float(hi)!r},{float(lo)!r}")
-    _write_csv(out / "frostman.csv", rows)
+    _write_csv(out / "frostman.csv", [
+        ("radius", "max_mass", "min_mass"),
+        *zip(report.radii, report.max_masses, report.min_masses)])
     _write_json(out / "frostman.json", {
         "fitted_s": report.fitted_s,
         "constant": report.constant,
@@ -389,10 +383,8 @@ def _run_strichartz(r: _Reader, args, out: Path) -> int:
     s = r.get("s", float if mu.nominal_s is None else float(mu.nominal_s))
     r.done()
     energies = strichartz_profile(f, mu, grid, radii, s)
-    rows = ["r,energy"]
-    for rad, e in zip(radii, energies):
-        rows.append(f"{rad!r},{float(e)!r}")
-    _write_csv(out / "strichartz.csv", rows)
+    _write_csv(out / "strichartz.csv",
+               [("r", "energy"), *zip(radii, energies)])
     print(f"strichartz: {len(radii)} radii max energy"
           f" {float(np.max(energies)):.6g} -> {out}")
     return 0
@@ -446,9 +438,10 @@ def _run_opnorm(r: _Reader, args, out: Path) -> int:
         "seed": estimate.seed,
         "t": t,
     })
-    _write_csv(out / "witnesses.csv",
-               [",".join(str(c) for c in row)
-                for row in witness_csv_rows(estimate)])
+    _write_csv(out / "witnesses.csv", [
+        ("family", "seed", "index", "ratio"),
+        *((estimate.family, estimate.seed, i, ratio)
+          for i, ratio in enumerate(estimate.ratios))])
     print(f"opnorm: lower bound {estimate.value:.6g} at p={p} -> {out}")
     return 0
 
@@ -461,10 +454,7 @@ def _run_growth(r: _Reader, args, out: Path) -> int:
     r.done()
     norms = sphere_l2_profile(f, mu, grid, js)
     fit = log2_fit(js, norms)
-    rows = ["j,norm"]
-    for j, nrm in zip(js, norms):
-        rows.append(f"{int(j)},{float(nrm)!r}")
-    _write_csv(out / "growth.csv", rows)
+    _write_csv(out / "growth.csv", [("j", "norm"), *zip(js, norms)])
     _write_csv(out / "fit.csv", _fit_rows(fit))
     print(f"growth: log2 slope {fit.slope:.4f} over j={js.min()}..{js.max()}"
           f" -> {out}")
@@ -492,12 +482,11 @@ def _run_exponents(r: _Reader, args, out: Path) -> int:
         "case": iv.case_label,
     })
     if n is not None:
-        rows = ["s_mu,s_nu,case,lo,hi"]
+        rows = [("s_mu", "s_nu", "case", "lo", "hi")]
         for a in np.linspace(0.0, d, n):
             for b in np.linspace(0.0, d, n):
                 cell = maximal_interval(d, float(a), float(b))
-                rows.append(f"{float(a)!r},{float(b)!r},{cell.case_label},"
-                            f"{cell.lo!r},{cell.hi!r}")
+                rows.append((a, b, cell.case_label, cell.lo, cell.hi))
         _write_csv(out / "region.csv", rows)
     print(f"exponents: case {iv.case_label} lo={iv.lo!r} hi={iv.hi!r}"
           f" -> {out}")

@@ -32,17 +32,6 @@ from .measures import (
 )
 from .operators import riesz_row_sum
 
-__all__ = [
-    "ShellSeries",
-    "SteinReport",
-    "MattilaReport",
-    "RieszDivergenceReport",
-    "FixedTimeReport",
-    "stein_example",
-    "mattila_example",
-    "riesz_divergence",
-    "fixed_time_sharpness",
-]
 
 _SHELLS = 40
 # 2^-shells underflows to 0 past 1074 shells, so more add nothing but memory
@@ -57,7 +46,7 @@ _ANNULUS_PROBE_TARGETS = (0.1, 0.45, 0.8)
 _MAX_TEST_ATOMS = 2 ** 22
 _BAND_BLOCK = 2 ** 16  # product atoms per block in mattila_example
 _MAX_FACTOR_DEPTH = 24
-_CSV_HEADER = "series,level,partial_sum,increment"
+_CSV_HEADER = ("series", "level", "partial_sum", "increment")
 
 
 def _check_dim(d, max_d=None):
@@ -123,9 +112,8 @@ def _lp_finite(series: ShellSeries, rate: float) -> bool:
 
 
 def _series_csv(rows, tag, series):
-    for lv, ps, inc in zip(series.levels, series.partial_sums,
-                           series.increments):
-        rows.append(f"{tag},{lv},{ps!r},{inc!r}")
+    rows.extend((tag, *row) for row in zip(series.levels, series.partial_sums,
+                                           series.increments))
 
 
 def _check_shells(shells: int) -> None:
@@ -263,13 +251,10 @@ class MattilaReport:
     probe_masses: tuple
 
     def csv_rows(self):
-        rows = ["eps,mass_mean," + ",".join(
-            f"mass_probe{i}" for i in range(len(self.probe_masses)))]
+        header = ("eps", "mass_mean", *(
+            f"mass_probe{i}" for i in range(len(self.probe_masses))))
         mean = np.mean(self.probe_masses, axis=0)
-        for k, e in enumerate(self.eps):
-            vals = ",".join(repr(row[k]) for row in self.probe_masses)
-            rows.append(f"{e!r},{mean[k]!r},{vals}")
-        return rows
+        return [header, *zip(self.eps, mean, *self.probe_masses)]
 
     def verdict_json(self):
         return {

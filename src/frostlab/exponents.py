@@ -14,19 +14,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
 
-__all__ = [
-    "Params",
-    "Interval",
-    "eps_p",
-    "maximal_interval",
-    "sharpness_excluded",
-    "MaximalBlowupBound",
-    "blowup_dim_maximal",
-    "fixed_time_condition",
-    "blowup_dim_fixed_time",
-    "convolution_l2_condition",
-]
-
 
 @dataclass(frozen=True)
 class Params:

@@ -31,22 +31,19 @@ class FitReport:
     x_hi: float
     n_points: int
 
-    def csv_row(self) -> list:
-        return [self.slope, self.intercept, self.residual, self.x_lo, self.x_hi, self.n_points]
-
-    @staticmethod
-    def csv_header() -> list:
-        return ["slope", "intercept", "residual", "x_lo", "x_hi", "n_points"]
-
 
 def line_fit(x, y) -> FitReport:
-    """Plain least-squares line through at least three points (x, y)."""
+    """Plain least-squares line through at least three points (x, y) with
+    at least two distinct x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise FitError("x and y must be 1-d arrays of equal length")
     if x.size < 3:
         raise FitError(f"need at least 3 points, got {x.size}")
+    if x.min() == x.max():
+        raise FitError(f"every x is {float(x[0])}; a line needs two distinct"
+                       " x values")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))

@@ -88,8 +88,11 @@ class DiscreteMeasure:
         return self.atoms.shape[0]
 
     def support_diameter(self) -> float:
-        span = self.atoms.max(axis=0) - self.atoms.min(axis=0)
-        return float(np.linalg.norm(span))
+        # atoms near the float limit overflow the diameter to inf, which
+        # callers check for, so the overflow is no warning
+        with np.errstate(over="ignore"):
+            span = self.atoms.max(axis=0) - self.atoms.min(axis=0)
+            return float(np.linalg.norm(span))
 
 
 def _finish(atoms, weights, *, nominal_s, construction, box_lo, box_hi, resolution):
@@ -368,6 +371,8 @@ def frostman_fit(mu: DiscreteMeasure, n_probes: int = 256,
     if n_probes < 1:
         raise ParameterError(f"n_probes must be at least 1, got {n_probes}")
     diam = mu.support_diameter()
+    if not math.isfinite(diam):
+        raise ParameterError(f"support diameter {diam} is not finite")
     if diam <= 0:
         raise ParameterError("single-point support has no radius range")
     r_max = diam / 4.0
@@ -391,9 +396,21 @@ def frostman_fit(mu: DiscreteMeasure, n_probes: int = 256,
     step = max(1, int(2_000_000 // max(mu.n_atoms, 1)))
     for p0 in range(0, k, step):
         block = probes[p0:p0 + step]
-        dists = np.linalg.norm(block[:, None, :] - mu.atoms[None, :, :], axis=2)
+        # squared differences summed one coordinate at a time, so the fit
+        # holds two (block, atoms) arrays and no (block, atoms, dim) one;
+        # below 8 coordinates this is the order np.linalg.norm sums them in,
+        # and the distances are its bits
+        dists = np.subtract.outer(block[:, 0], mu.atoms[:, 0])
+        dists *= dists
+        scratch = np.empty_like(dists)
+        for c in range(1, mu.dim):
+            np.subtract.outer(block[:, c], mu.atoms[:, c], out=scratch)
+            scratch *= scratch
+            dists += scratch
+        np.sqrt(dists, out=dists)
         for i, r in enumerate(radii):
-            masses = (mu.weights[None, :] * (dists <= r)).sum(axis=1)
+            masses = np.multiply(mu.weights, dists <= r,
+                                 out=scratch).sum(axis=1)
             max_masses[i] = max(max_masses[i], float(masses.max()))
             min_masses[i] = min(min_masses[i], float(masses.min()))
 

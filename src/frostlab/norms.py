@@ -19,18 +19,6 @@ from .errors import EstimationError, ParameterError
 from .measures import DiscreteMeasure
 from .spectral import field_at_points
 
-__all__ = [
-    "lp_norm",
-    "LinearOperatorHandle",
-    "grid_operator_handle",
-    "OpNormEstimate",
-    "evaluate_witnesses",
-    "opnorm_lower",
-    "certify",
-    "witness_csv_rows",
-    "FAMILIES",
-]
-
 
 def lp_norm(values, mu: DiscreteMeasure, p: float) -> float:
     """Discrete L^p(mu) norm of atom values; p = inf takes the sup over atoms.
@@ -216,11 +204,3 @@ def certify(estimate: OpNormEstimate, handle: LinearOperatorHandle,
     if den == 0.0:
         raise EstimationError("stored witness has zero norm")
     return lp_norm(handle.apply(estimate.witness), nu, estimate.p) / den
-
-
-def witness_csv_rows(estimate: OpNormEstimate):
-    """One row per witness: family, seed, witness index, ratio."""
-    rows = [["family", "seed", "index", "ratio"]]
-    for i, r in enumerate(estimate.ratios):
-        rows.append([estimate.family, estimate.seed, i, repr(float(r))])
-    return rows

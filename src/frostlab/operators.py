@@ -31,22 +31,6 @@ from .spectral import (
     mollifier_hat,
 )
 
-__all__ = [
-    "sphere_multiplier",
-    "sphere_spatial_kernel",
-    "riesz_multiplier",
-    "default_mollify_eps",
-    "spherical_average",
-    "quadrature_spherical_average",
-    "maximal_function",
-    "default_t_grid",
-    "dyadic_operator",
-    "convolve_distribution",
-    "riesz_row_sum",
-    "RieszRowReport",
-    "sphere_l2_profile",
-]
-
 
 # ---- radial multipliers ----
 

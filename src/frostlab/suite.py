@@ -42,12 +42,6 @@ from .spectral import (
 )
 from .wave3d import blowup_probe, pointwise_limit_fit, sharpness_family
 
-__all__ = [
-    "CriterionResult",
-    "SuiteReport",
-    "run_suite",
-    "CRITERION_COUNT",
-]
 
 CRITERION_COUNT = 9
 
@@ -89,11 +83,9 @@ class SuiteReport:
         return out
 
     def csv_rows(self):
-        # details are built comma-free so the rows need no quoting
-        rows = ["criterion,name,passed,detail"]
-        for r in self.results:
-            rows.append(f"{r.index},{r.name},{str(r.passed).lower()},{r.detail}")
-        return rows
+        return [("criterion", "name", "passed", "detail"),
+                *((r.index, r.name, str(r.passed).lower(), r.detail)
+                  for r in self.results)]
 
 
 def _rel_l2(a, b) -> float:

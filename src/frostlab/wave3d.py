@@ -32,15 +32,6 @@ from .operators import (
 )
 from .spectral import Field, SpectralGrid, Spectrum, mollifier_hat
 
-__all__ = [
-    "wave_solution",
-    "PointwiseReport",
-    "pointwise_limit_fit",
-    "sharpness_family",
-    "BlowupReport",
-    "blowup_probe",
-]
-
 
 def wave_solution(f, mu: DiscreteMeasure, t: float,
                   grid: SpectralGrid) -> Field:
@@ -167,11 +158,10 @@ class BlowupReport:
     inconclusive: bool
 
     def csv_rows(self):
-        rows = ["n,threshold,eps,count,level_dim"]
+        rows = [("n", "threshold", "eps", "count", "level_dim")]
         for n, tau, row, dim in zip(self.refinements, self.thresholds,
                                     self.counts, self.level_dims):
-            for e, c in zip(self.box_eps, row):
-                rows.append(f"{n},{tau!r},{e!r},{c},{dim!r}")
+            rows.extend((n, tau, e, c, dim) for e, c in zip(self.box_eps, row))
         return rows
 
     def verdict_json(self):

@@ -48,6 +48,15 @@ def test_exported_defaulted_parameters_are_the_listed_ones():
     assert found == DEFAULTED_PARAMETERS
 
 
+def test_the_flat_namespace_is_the_one_list_of_exports():
+    # no module keeps a second list, an __all__ that could disagree with it
+    package = Path(frostlab.__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        assert not any(isinstance(node, ast.Name) and node.id == "__all__"
+                       for node in ast.walk(tree)), path.name
+
+
 def test_aliases_of_other_functions_are_not_exported():
     # log2_fit, Spectrum.energy and the *_profile mass functions already
     # compute each of these

@@ -1,10 +1,12 @@
 """Command-line front end: exit codes, artifact shapes, determinism."""
 
+import csv
 import json
 import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +198,26 @@ def test_runtime_domain_error_exits_3(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    # atoms this far apart overflow the support diameter to inf
+    ("gen-measure", {"measure": {"kind": "random-ball", "d": 3,
+                                 "n_atoms": 10, "radius": 1e308}},
+     "support diameter inf is not finite"),
+    # a line through a single x value has no slope
+    ("growth", {"j_values": [2, 2, 2]}, "every x is 2.0;"),
+])
+def test_degenerate_fit_input_exits_3(tmp_path, capsys, command, doc,
+                                      message):
+    cfg = _cfg(tmp_path, "c.json", {"experiment": command, **doc})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RankWarning included
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("frostlab: invalid parameters: ")
+    assert message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n_probes", [0, -3])
 def test_too_few_frostman_probes_exits_3(tmp_path, capsys, n_probes):
     cfg = _cfg(tmp_path, "c.json", {"experiment": "gen-measure",
@@ -358,6 +380,9 @@ def test_opnorm_artifacts(tmp_path):
     lines = (tmp_path / "witnesses.csv").read_bytes().decode().split("\r\n")
     assert lines[0] == "family,seed,index,ratio"
     assert len(lines) == 1 + 128 + 1
+    # the bound is the best witness's ratio, written in full precision
+    ratios = [float(row[3]) for row in csv.reader(lines[1:-1])]
+    assert max(ratios) == doc["lower_bound"]
 
 
 @pytest.mark.parametrize("family", ["bumps", "extremizers"])
@@ -445,10 +470,23 @@ def _run(tmp_path, name, command, doc):
     return out / "manifest.json"
 
 
+# the CSV columns that hold words; every other cell is a number
+_TEXT_COLUMNS = {"series", "case", "family", "name", "passed", "detail"}
+
+
 @pytest.mark.parametrize("command, doc, files", SMALL_RUNS, ids=RUN_IDS)
 def test_manifest_config_round_trips(tmp_path, command, doc, files):
     first = _run(tmp_path, "a", command, doc)
     assert {p.name for p in first.parent.iterdir()} == files | {"manifest.json"}
+    for path in first.parent.glob("*.csv"):
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, path.name
+        for row in rows:
+            assert len(row) == len(header), (path.name, row)
+            for column, cell in zip(header, row):
+                if column not in _TEXT_COLUMNS:
+                    float(cell)  # a ValueError names the cell
     again = json.loads(first.read_text())["config"]
     assert _run(tmp_path, "b", command, again).read_bytes() == \
         first.read_bytes()
@@ -579,8 +617,7 @@ def _clear_caches(monkeypatch):
     spectral._mode_factors.cache_clear()
 
 
-def test_threads_and_plan_cache_leave_the_bits_unchanged(tmp_path,
-                                                        monkeypatch):
+def test_cold_and_warm_caches_give_the_same_bytes(tmp_path, monkeypatch):
     for i, (command, doc) in enumerate(CACHE_RUNS):
         run = f"{i}-{command}"  # a command may have several rows
         cfg = _cfg(tmp_path, run + ".json", {"experiment": command, **doc})

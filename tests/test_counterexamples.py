@@ -194,11 +194,11 @@ def test_stein_validation():
 def test_stein_csv_and_json():
     rep = stein_example(2, 1.5, 3.0)
     rows = rep.csv_rows()
-    assert rows[0] == "series,level,partial_sum,increment"
+    assert rows[0] == ("series", "level", "partial_sum", "increment")
     assert len(rows) == 1 + 3 * 40
-    tag, level, ps, inc = rows[1].split(",")
-    assert tag == "lp" and int(level) == 1
-    assert float(ps) == float(inc)
+    ps, inc = rep.lp_series.partial_sums[0], rep.lp_series.increments[0]
+    assert rows[1] == ("lp", 1, ps, inc) and ps == inc
+    assert rows[41][0] == "probe-0.125"
     blob = rep.verdict_json()
     assert blob["construction"] == "radial-extremizer"
     assert blob["lp_norm_finite"] is True
@@ -278,10 +278,12 @@ def test_annulus_depth_overrides_and_resource_errors():
 def test_annulus_csv_and_json():
     rep = mattila_example(2, 0.5, 0.5, 2.0, SHIPPED_SETS[2][4])
     rows = rep.csv_rows()
-    assert rows[0].startswith("eps,mass_mean,mass_probe0")
+    assert rows[0] == ("eps", "mass_mean", "mass_probe0", "mass_probe1",
+                       "mass_probe2")
     assert len(rows) == 1 + len(rep.eps)
-    first = rows[1].split(",")
-    assert float(first[0]) == rep.eps[0]
+    masses = tuple(row[0] for row in rep.probe_masses)
+    assert rows[1][0] == rep.eps[0] and rows[1][2:] == masses
+    assert rows[1][1] == pytest.approx(sum(masses) / 3, rel=1e-15)
     blob = rep.verdict_json()
     assert blob["construction"] == "tangent-annulus"
     assert blob["predicted_exponent"] == rep.predicted
@@ -421,8 +423,10 @@ def test_potential_validation():
 def test_potential_csv_and_json():
     rep = riesz_divergence(2, 1.0, 0.8, levels=12)
     rows = rep.csv_rows()
-    assert rows[0] == "series,level,partial_sum,increment"
+    assert rows[0] == ("series", "level", "partial_sum", "increment")
     assert len(rows) == 1 + len(rep.series.levels)
+    assert rows[-1] == ("potential", rep.series.levels[-1],
+                        rep.series.partial_sums[-1], rep.series.increments[-1])
     blob = rep.verdict_json()
     assert blob["construction"] == "fractal-potential"
     assert blob["slope"] == rep.slope
@@ -468,8 +472,9 @@ def test_fixed_time_validation():
 def test_fixed_time_csv_and_json():
     rep = fixed_time_sharpness(3, 1.5)
     rows = rep.csv_rows()
-    assert rows[0] == "series,level,partial_sum,increment"
+    assert rows[0] == ("series", "level", "partial_sum", "increment")
     assert len(rows) == 1 + 2 * 40
+    assert {row[0] for row in rows[1:]} == {"lp", "sphere-probe"}
     blob = rep.verdict_json()
     assert blob["construction"] == "fixed-time-extremizer"
     assert blob["blowup_dim_matches"] is True

@@ -193,12 +193,28 @@ def test_frostman_fit_product_additivity():
     assert abs(sab - (sa + sb)) <= 0.15
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_frostman_fit_masses_match_the_norm_reference(d):
+    # one probe, the heaviest atom: both envelopes are its ball masses, and
+    # below 8 coordinates the distances are np.linalg.norm's to the bit
+    mu = random_ball_measure(d, 3000, seed=4)
+    rep = frostman_fit(mu, n_probes=1, seed=1)
+    probe = mu.atoms[np.argmax(mu.weights)]
+    dists = np.linalg.norm(mu.atoms - probe, axis=1)
+    masses = [(mu.weights * (dists <= r)).sum() for r in rep.radii]
+    assert np.array_equal(rep.max_masses, masses)
+    assert np.array_equal(rep.min_masses, masses)
+
+
 def test_frostman_fit_errors():
     with pytest.raises(ParameterError):
         frostman_fit(CANTOR3, n_probes=0)
     # atoms 0.75 apart at resolution 0.25: no dyadic radius below diam/4
     with pytest.raises(FitError):
         frostman_fit(cantor_measure(0.25, 1))
+    # atoms this far apart overflow the diameter, and no radius is finite
+    with pytest.raises(ParameterError, match="not finite"):
+        frostman_fit(random_ball_measure(3, 10, seed=0, radius=1e308))
 
 
 # ---- energy_integral ----

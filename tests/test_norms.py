@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from frostlab.errors import EstimationError, FitError, ParameterError
-from frostlab.fitting import FitReport, log2_fit
+from frostlab.fitting import FitReport, line_fit, log2_fit
 from frostlab.measures import (
     cantor_measure,
     lebesgue_box_measure,
@@ -20,7 +20,6 @@ from frostlab.norms import (
     grid_operator_handle,
     lp_norm,
     opnorm_lower,
-    witness_csv_rows,
 )
 from frostlab.operators import sphere_l2_profile, spherical_average
 from frostlab.spectral import SpectralGrid
@@ -219,21 +218,16 @@ def test_growth_rate_needs_three_points():
         log2_fit([1, 2], [1.0, 2.0])
 
 
+def test_line_fit_needs_two_distinct_x():
+    # np.polyfit would warn and return a slope through a vertical line
+    with pytest.raises(FitError, match=r"^every x is 2\.0;"):
+        line_fit(np.full(3, 2, dtype=np.int64), [1.0, 2.0, 3.0])
+    assert line_fit([2, 2, 3], [1.0, 1.0, 3.0]).slope == pytest.approx(2.0)
+
+
 def test_growth_rate_on_sphere_l2_suite():
     mu = product_measure([cantor_measure(0.25, 6)] * 2)
     g = SpectralGrid(2, 1024, 2.0)
     js = np.arange(2, 8)
     rep = log2_fit(js, sphere_l2_profile(None, mu, g, js))
     assert rep.slope >= 0.35
-
-
-# ---- CSV rows ----
-
-def test_witness_csv_rows():
-    handle = riesz_handle(CANTOR2SQ, 1.0, 1 / 16.0)
-    est = opnorm_lower(handle, CANTOR2SQ, CANTOR2SQ, 2.0, "random_atoms", seed=2)
-    rows = witness_csv_rows(est)
-    assert rows[0] == ["family", "seed", "index", "ratio"]
-    assert len(rows) == est.ratios.size + 1
-    assert rows[1][0] == "random_atoms"
-    assert float(rows[1 + int(np.argmax(est.ratios))][3]) == est.value

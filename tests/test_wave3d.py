@@ -242,8 +242,10 @@ def test_blowup_probe_sharpness_family():
     assert blob["construction"] == "superlevel-boxdim"
     assert blob["boxdim_estimate"] == rep.boxdim_estimate
     rows = rep.csv_rows()
-    assert rows[0] == "n,threshold,eps,count,level_dim"
+    assert rows[0] == ("n", "threshold", "eps", "count", "level_dim")
     assert len(rows) == 1 + 3 * 3
+    assert rows[1] == (rep.refinements[0], rep.thresholds[0], rep.box_eps[0],
+                       rep.counts[0][0], rep.level_dims[0])
 
 
 def test_blowup_smooth_data_has_empty_superlevel():
