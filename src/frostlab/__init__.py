@@ -52,7 +52,6 @@ from .spectral import (
     strichartz_profile,
 )
 from .operators import (
-    RieszRowReport,
     convolve_distribution,
     default_mollify_eps,
     default_t_grid,
@@ -67,7 +66,6 @@ from .operators import (
 )
 from .norms import (
     FAMILIES,
-    LinearOperatorHandle,
     OpNormEstimate,
     certify,
     evaluate_witnesses,

@@ -450,8 +450,8 @@ def riesz_divergence(d: int, s: float, alpha: float,
             f"{_MAX_TEST_ATOMS}; reduce levels or s")
     mu = product_measure([cantor_measure(ratio, k)] * d)
     x = mu.atoms[0]
-    row = riesz_row_sum(mu, alpha, x, level_cap=levels)
-    series = _series(row.levels, row.contributions)
+    contributions = riesz_row_sum(mu, alpha, x, level_cap=levels)
+    series = _series(np.arange(levels + 1), contributions)
     return RieszDivergenceReport(
         d=d, s=float(s), alpha=float(alpha),
         slope=float(_increment_rate(series)),

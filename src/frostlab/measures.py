@@ -491,6 +491,9 @@ def energy_integral(mu: DiscreteMeasure, s: float) -> EnergyReport:
     if not (0.0 < s <= mu.dim):
         raise ParameterError(f"s must be in (0, {mu.dim}], got {s}")
     _check_pair_cap(mu)
+    diam = mu.support_diameter()
+    if not math.isfinite(diam):
+        raise ParameterError(f"support diameter {diam} is not finite")
 
     uniq = np.unique(mu.atoms, axis=0)
     if uniq.shape[0] < mu.n_atoms:
@@ -507,7 +510,7 @@ def energy_integral(mu: DiscreteMeasure, s: float) -> EnergyReport:
     else:
         # no declared pitch (random samples): probe down to the mean atom
         # spacing, where saturation is the verdict for a convergent energy
-        spacing = mu.support_diameter() / max(2.0, mu.n_atoms ** (1.0 / mu.dim))
+        spacing = diam / max(2.0, mu.n_atoms ** (1.0 / mu.dim))
         m_hi = max(3, min(40, int(math.ceil(-math.log2(spacing))) + 1))
     m_lo = max(0, m_hi - 5)
     levels = np.arange(m_lo, m_hi + 1)

@@ -1,9 +1,10 @@
 """Empirical lower bounds for weighted-L^p operator norms.
 
 Everything here produces LOWER bounds only: a witness family is evaluated
-through an operator handle and the best Rayleigh-type ratio is reported
-together with the witness that achieved it, so the claim can be re-verified
-from the stored data.  Upper bounds belong to the closed-form exponent
+through the operator, a plain function from values on mu's atoms to values
+on nu's atoms, and the best Rayleigh-type ratio is reported together with
+the witness that achieved it, so the claim can be re-verified from the
+stored data.  Upper bounds belong to the closed-form exponent
 module, never to measurements.
 """
 
@@ -39,30 +40,10 @@ def lp_norm(values, mu: DiscreteMeasure, p: float) -> float:
     return m * float(mu.weights @ (a / m) ** p) ** (1.0 / p)
 
 
-@dataclass(frozen=True)
-class LinearOperatorHandle:
-    """Operator as callables on atom-value vectors.
-
-    apply maps values on mu atoms to values on nu atoms.  adjoint, when
-    present, must be the adjoint with respect to the weighted inner products
-    <u,v>_mu = sum w_i u_i v_i, which is what the p=2 power iteration needs.
-    """
-
-    apply: Callable
-    adjoint: Callable | None = None
-
-
-def grid_operator_handle(op: Callable, nu: DiscreteMeasure) -> LinearOperatorHandle:
+def grid_operator_handle(op: Callable, nu: DiscreteMeasure) -> Callable:
     """Wrap a callable that returns a space-side grid field, sampled at nu's
-    atoms.
-
-    No adjoint: grid operators feed the witness families, not the power
-    iteration.
-    """
-    def apply(f):
-        return field_at_points(op(f), nu.atoms)
-
-    return LinearOperatorHandle(apply=apply, adjoint=None)
+    atoms."""
+    return lambda f: field_at_points(op(f), nu.atoms)
 
 
 @dataclass(frozen=True)
@@ -81,8 +62,6 @@ class OpNormEstimate:
 _RANDOM_WITNESSES = 512
 _BUMP_CENTERS = 32
 _BUMP_WIDTHS = 4
-_POWER_TOL = 1e-4
-_POWER_MAX_ITER = 200
 
 
 def _random_atom_witnesses(mu: DiscreteMeasure, rng) -> list[np.ndarray]:
@@ -122,16 +101,15 @@ def _extremizer_witnesses(mu: DiscreteMeasure, rng) -> list[np.ndarray]:
     return out
 
 
-FAMILIES = ("random_atoms", "bumps", "extremizers", "power_iteration_p2")
-
 _GENERATORS = {
     "random_atoms": _random_atom_witnesses,
     "bumps": _bump_witnesses,
     "extremizers": _extremizer_witnesses,
 }
+FAMILIES = tuple(_GENERATORS)
 
 
-def evaluate_witnesses(handle: LinearOperatorHandle, mu: DiscreteMeasure,
+def evaluate_witnesses(apply: Callable, mu: DiscreteMeasure,
                        nu: DiscreteMeasure, p: float, witnesses):
     """Ratios |Tf|_p(nu)/|f|_p(mu) per witness; zero-norm witnesses are skipped.
 
@@ -143,64 +121,35 @@ def evaluate_witnesses(handle: LinearOperatorHandle, mu: DiscreteMeasure,
         den = lp_norm(w, mu, p)
         if den == 0.0:
             continue
-        ratios[i] = lp_norm(handle.apply(w), nu, p) / den
+        ratios[i] = lp_norm(apply(w), nu, p) / den
     if not np.isfinite(ratios).any():
         raise EstimationError("every witness in the family had zero norm")
     return ratios, int(np.argmax(ratios))
 
 
-def _power_iteration(handle: LinearOperatorHandle, mu: DiscreteMeasure,
-                     nu: DiscreteMeasure, seed: int) -> OpNormEstimate:
-    if handle.adjoint is None:
-        raise ParameterError("power_iteration_p2 needs a handle with an adjoint")
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal(mu.n_atoms)
-    history = []
-    ratio = 0.0
-    for it in range(1, _POWER_MAX_ITER + 1):
-        g = np.asarray(handle.apply(f))
-        num = lp_norm(g, nu, 2.0)
-        den = lp_norm(f, mu, 2.0)
-        if num == 0.0 or den == 0.0:
-            raise EstimationError("power iteration hit a zero vector")
-        prev, ratio = ratio, num / den
-        history.append(ratio)
-        if it > 1 and abs(ratio - prev) <= _POWER_TOL * ratio:
-            break
-        f = np.asarray(handle.adjoint(g))
-        f = f / lp_norm(f, mu, 2.0)
-    return OpNormEstimate(p=2.0, value=float(ratio), family="power_iteration_p2",
-                          iterations=it, seed=seed, witness=f.copy(),
-                          ratios=np.asarray(history))
-
-
-def opnorm_lower(handle: LinearOperatorHandle, mu: DiscreteMeasure,
+def opnorm_lower(apply: Callable, mu: DiscreteMeasure,
                  nu: DiscreteMeasure, p: float, family: str,
                  seed: int) -> OpNormEstimate:
     """Best ratio over one witness family; a certified operator-norm lower bound."""
     if p < 1.0:
         raise ParameterError(f"p must be >= 1, got {p}")
-    if family == "power_iteration_p2":
-        if p != 2.0:
-            raise ParameterError("power_iteration_p2 runs only at p = 2")
-        return _power_iteration(handle, mu, nu, seed)
     try:
         gen = _GENERATORS[family]
     except KeyError:
         raise ParameterError(
             f"unknown family {family!r}; choose from {FAMILIES}") from None
     witnesses = gen(mu, np.random.default_rng(seed))
-    ratios, best = evaluate_witnesses(handle, mu, nu, p, witnesses)
+    ratios, best = evaluate_witnesses(apply, mu, nu, p, witnesses)
     return OpNormEstimate(p=float(p), value=float(ratios[best]), family=family,
                           iterations=len(witnesses), seed=seed,
                           witness=np.asarray(witnesses[best], dtype=np.float64),
                           ratios=ratios)
 
 
-def certify(estimate: OpNormEstimate, handle: LinearOperatorHandle,
+def certify(estimate: OpNormEstimate, apply: Callable,
             mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Recompute the estimate's ratio from its stored witness."""
     den = lp_norm(estimate.witness, mu, estimate.p)
     if den == 0.0:
         raise EstimationError("stored witness has zero norm")
-    return lp_norm(handle.apply(estimate.witness), nu, estimate.p) / den
+    return lp_norm(apply(estimate.witness), nu, estimate.p) / den

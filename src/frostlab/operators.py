@@ -14,7 +14,6 @@ dimensions only through exponents, not prefactors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -235,25 +234,15 @@ def convolve_distribution(multiplier: Callable, f, mu: DiscreteMeasure,
 _RIESZ_CHUNK = 2 ** 21  # atoms per distance block in riesz_row_sum
 
 
-@dataclass(frozen=True)
-class RieszRowReport:
-    """Dyadic-shell decomposition of a Riesz row sum around one point."""
-
-    total: float
-    levels: np.ndarray         # shell indices m (distance band [2^-m, 2^-m+1])
-    contributions: np.ndarray  # 2^{m(d-alpha)} * shell mass per level
-    alpha: float
-    x: np.ndarray
-
-
 def riesz_row_sum(mu: DiscreteMeasure, alpha_mu: float, x,
-                  level_cap: int) -> RieszRowReport:
-    """Schur-type row sum sum_m 2^{m(d-alpha)} mu(shell_m(x)) over dyadic shells.
+                  level_cap: int) -> np.ndarray:
+    """Per-level terms 2^{m(d-alpha)} mu(shell_m(x)) of a Schur-type row sum.
 
-    Shell m collects atoms at distance in (2^-m, 2^{-m+1}]; atoms closer than
-    the deepest shell (including x itself) are dropped, as are distances
-    above 2.  Streaming over atom chunks keeps memory flat for
-    multi-million-atom measures.
+    Entry m, for m = 0 .. level_cap, is the term of shell m, the atoms at
+    distance in (2^-m, 2^{-m+1}] from x.  Atoms closer than the deepest
+    shell (including x itself) are dropped, as are distances above 2.
+    Streaming over atom chunks keeps memory flat for multi-million-atom
+    measures.
     """
     x = np.asarray(x, dtype=np.float64).reshape(mu.dim)
     if level_cap < 1:
@@ -261,19 +250,18 @@ def riesz_row_sum(mu: DiscreteMeasure, alpha_mu: float, x,
     shell_mass = np.zeros(level_cap + 1)
     chunk = _RIESZ_CHUNK
     for lo in range(0, mu.n_atoms, chunk):
-        diff = mu.atoms[lo:lo + chunk] - x
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        keep = dist > 0.0
+        # a distance that overflows to inf lies above 2 and is dropped
+        with np.errstate(over="ignore"):
+            diff = mu.atoms[lo:lo + chunk] - x
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        keep = (dist > 0.0) & (dist <= 2.0)
         # band (2^-m, 2^-m+1] holds dist iff m = floor(1 - log2 dist)
         m = np.floor(1.0 - np.log2(dist[keep])).astype(np.int64)
-        sel = (m >= 0) & (m <= level_cap)
+        sel = m <= level_cap
         shell_mass += np.bincount(m[sel],
                                   weights=mu.weights[lo:lo + chunk][keep][sel],
                                   minlength=level_cap + 1)
-    levels = np.arange(level_cap + 1)
-    contributions = 2.0 ** (levels * (mu.dim - alpha_mu)) * shell_mass
-    return RieszRowReport(total=float(contributions.sum()), levels=levels,
-                          contributions=contributions, alpha=float(alpha_mu), x=x)
+    return 2.0 ** (np.arange(level_cap + 1) * (mu.dim - alpha_mu)) * shell_mass
 
 
 # ---- small-scale L2 profile ----

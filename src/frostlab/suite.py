@@ -161,7 +161,7 @@ def criterion_4() -> CriterionResult:
     x = mu.atoms[0]
     ratios = {}
     for alpha in (1.2, 0.8):
-        contrib = riesz_row_sum(mu, alpha, x, level_cap=12).contributions
+        contrib = riesz_row_sum(mu, alpha, x, level_cap=12)
         ratios[alpha] = float((contrib[11] / contrib[1]) ** (1.0 / 10.0))
     passed = ratios[1.2] < 1.0 and ratios[0.8] > 1.0
     detail = (f"ratio_super={ratios[1.2]:.6f} ratio_sub={ratios[0.8]:.6f}"

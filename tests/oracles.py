@@ -1,8 +1,8 @@
 """Oracles that only the tests use.
 
 Each is an independent route to a number the library computes another
-way: a dense matrix operator between two atom sets, with its exact
-adjoint, and the closed-form 3-d wave from Gaussian data.  The library's
+way: a dense matrix operator between two atom sets, and the closed-form
+3-d wave from Gaussian data.  The library's
 public surface holds only what a CLI run, a criterion or the benchmark
 calls (tests/test_api.py), so these live here.
 """
@@ -15,7 +15,6 @@ import numpy as np
 
 from frostlab.errors import ParameterError
 from frostlab.measures import DiscreteMeasure
-from frostlab.norms import LinearOperatorHandle
 from frostlab.operators import _check_t, default_mollify_eps
 from frostlab.spectral import SpectralGrid
 
@@ -23,20 +22,18 @@ from frostlab.spectral import SpectralGrid
 # ---- dense operators ----
 
 def matrix_operator_handle(matrix: np.ndarray, mu: DiscreteMeasure,
-                           nu: DiscreteMeasure) -> LinearOperatorHandle:
-    """Handle for Tf(y_j) = sum_i M[j,i] w_i f(x_i); adjoint is exact."""
+                           nu: DiscreteMeasure) -> Callable:
+    """The operator Tf(y_j) = sum_i M[j,i] w_i f(x_i) on atom values."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (nu.n_atoms, mu.n_atoms):
         raise ParameterError(
             f"matrix shape {matrix.shape} does not map {mu.n_atoms} mu atoms "
             f"to {nu.n_atoms} nu atoms")
-    return LinearOperatorHandle(
-        apply=lambda f: matrix @ (mu.weights * np.asarray(f)),
-        adjoint=lambda g: matrix.T @ (nu.weights * np.asarray(g)))
+    return lambda f: matrix @ (mu.weights * np.asarray(f))
 
 
 def kernel_matrix_handle(kernel: Callable, mu: DiscreteMeasure,
-                         nu: DiscreteMeasure) -> LinearOperatorHandle:
+                         nu: DiscreteMeasure) -> Callable:
     """Dense radial-kernel operator between two atom sets."""
     from scipy.spatial.distance import cdist
 

@@ -248,13 +248,15 @@ def test_opnorm_unknown_family_exits_3_before_any_measure(tmp_path, capsys,
         raise AssertionError("a measure was built before the family was read")
 
     monkeypatch.setattr(cli, "_build_measure", no_measure)
-    cfg = _cfg(tmp_path, "c.json", {"experiment": "opnorm", "family": "nope"})
-    out = tmp_path / "out"
-    assert main(["opnorm", "--config", cfg, "--out", str(out)]) == 3
-    assert capsys.readouterr().err == (
-        "frostlab: config error: family: must be one of random_atoms, bumps,"
-        " extremizers, power_iteration_p2, got 'nope'\n")
-    assert list(out.iterdir()) == []
+    # a removed family is refused like any unknown name
+    for family in ("nope", "power_iteration_p2"):
+        cfg = _cfg(tmp_path, "c.json", {"experiment": "opnorm", "family": family})
+        out = tmp_path / family
+        assert main(["opnorm", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "frostlab: config error: family: must be one of random_atoms, bumps,"
+            f" extremizers, got '{family}'\n")
+        assert list(out.iterdir()) == []
 
 
 # ---- artifacts ----

@@ -252,6 +252,14 @@ def test_energy_domain_errors():
         energy_integral(CANTOR3, 1.5)  # above dim of the ambient space
 
 
+@pytest.mark.filterwarnings("error")
+def test_energy_refuses_a_diameter_that_overflows():
+    # the mean atom spacing would be inf, and its dyadic level no integer
+    far = random_ball_measure(3, 10, seed=0, radius=1e308)
+    with pytest.raises(ParameterError, match=r"^support diameter inf is not finite$"):
+        energy_integral(far, 1.0)
+
+
 # ---- annulus and chain masses ----
 
 def test_annulus_profile_slope_near_one():

@@ -14,7 +14,6 @@ from frostlab.measures import (
     product_measure,
 )
 from frostlab.norms import (
-    LinearOperatorHandle,
     certify,
     evaluate_witnesses,
     grid_operator_handle,
@@ -84,31 +83,19 @@ def test_lp_norm_validation():
         lp_norm(np.ones(3), CANTOR2SQ, 2.0)
 
 
-# ---- operator handles ----
+# ---- dense matrix operator ----
 
 def test_matrix_handle_shape_validation():
     with pytest.raises(ParameterError):
         matrix_operator_handle(np.ones((3, 3)), CANTOR2SQ, CANTOR2SQ)
 
 
-def test_matrix_handle_adjoint_pairing():
-    handle = riesz_handle(CANTOR2SQ, 1.0, 1 / 16.0)
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal(CANTOR2SQ.n_atoms)
-    g = rng.standard_normal(CANTOR2SQ.n_atoms)
-    lhs = float(CANTOR2SQ.weights @ (handle.apply(f) * g))
-    rhs = float(CANTOR2SQ.weights @ (f * handle.adjoint(g)))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
 # ---- opnorm_lower ----
 
 def test_identity_operator_estimate_is_one():
-    handle = LinearOperatorHandle(apply=lambda f: np.asarray(f),
-                                  adjoint=lambda g: np.asarray(g))
-    for family in ("random_atoms", "bumps", "extremizers",
-                   "power_iteration_p2"):
-        est = opnorm_lower(handle, CANTOR2SQ, CANTOR2SQ, 2.0, family, seed=1)
+    identity = lambda f: np.asarray(f)
+    for family in ("random_atoms", "bumps", "extremizers"):
+        est = opnorm_lower(identity, CANTOR2SQ, CANTOR2SQ, 2.0, family, seed=1)
         assert est.value >= 1.0 - 1e-6
         assert est.value <= 1.0 + 1e-12
 
@@ -121,20 +108,9 @@ def test_lebesgue_sphere_multiplier_sup():
     assert 0.5 <= est.value <= 1.02
 
 
-def test_power_iteration_dominates_random_family():
-    handle = riesz_handle(CANTOR2SQ, 1.0, 1 / 16.0)
-    power = opnorm_lower(handle, CANTOR2SQ, CANTOR2SQ, 2.0,
-                         "power_iteration_p2", seed=7)
-    rand = opnorm_lower(handle, CANTOR2SQ, CANTOR2SQ, 2.0,
-                        "random_atoms", seed=7)
-    assert power.value >= rand.value - 1e-12
-    assert power.iterations <= 200
-
-
 def test_every_estimate_certifies():
     handle = riesz_handle(CANTOR2SQ, 1.0, 1 / 16.0)
-    for family in ("random_atoms", "bumps", "extremizers",
-                   "power_iteration_p2"):
+    for family in ("random_atoms", "bumps", "extremizers"):
         est = opnorm_lower(handle, CANTOR2SQ, CANTOR2SQ, 2.0, family, seed=9)
         assert abs(certify(est, handle, CANTOR2SQ, CANTOR2SQ) - est.value) <= 1e-10
 
@@ -143,8 +119,8 @@ def test_ratio_scaling_covariance():
     handle = riesz_handle(CANTOR2SQ, 1.0, 1 / 16.0)
     est = opnorm_lower(handle, CANTOR2SQ, CANTOR2SQ, 2.0, "bumps", seed=5)
     f = est.witness
-    base = lp_norm(handle.apply(f), CANTOR2SQ, 2.0) / lp_norm(f, CANTOR2SQ, 2.0)
-    scaled = lp_norm(handle.apply(3.7 * f), CANTOR2SQ, 2.0) \
+    base = lp_norm(handle(f), CANTOR2SQ, 2.0) / lp_norm(f, CANTOR2SQ, 2.0)
+    scaled = lp_norm(handle(3.7 * f), CANTOR2SQ, 2.0) \
         / lp_norm(3.7 * f, CANTOR2SQ, 2.0)
     assert scaled == pytest.approx(base, rel=1e-12)
 
@@ -155,26 +131,17 @@ def test_opnorm_validation():
         opnorm_lower(handle, CANTOR2SQ, CANTOR2SQ, 0.5, "bumps", seed=1)
     with pytest.raises(ParameterError):
         opnorm_lower(handle, CANTOR2SQ, CANTOR2SQ, 2.0, "no_such_family", seed=1)
-    with pytest.raises(ParameterError):
-        opnorm_lower(handle, CANTOR2SQ, CANTOR2SQ, 3.0,
-                     "power_iteration_p2", seed=1)
-    no_adj = LinearOperatorHandle(apply=lambda f: np.asarray(f))
-    with pytest.raises(ParameterError):
-        opnorm_lower(no_adj, CANTOR2SQ, CANTOR2SQ, 2.0,
-                     "power_iteration_p2", seed=1)
 
 
 def test_all_zero_witnesses_rejected():
-    handle = LinearOperatorHandle(apply=lambda f: np.asarray(f))
     zeros = [np.zeros(CANTOR2SQ.n_atoms)] * 3
     with pytest.raises(EstimationError):
-        evaluate_witnesses(handle, CANTOR2SQ, CANTOR2SQ, 2.0, zeros)
+        evaluate_witnesses(lambda f: np.asarray(f), CANTOR2SQ, CANTOR2SQ, 2.0, zeros)
 
 
 def test_zero_norm_witnesses_skipped_not_fatal():
-    handle = LinearOperatorHandle(apply=lambda f: np.asarray(f))
     mixed = [np.zeros(CANTOR2SQ.n_atoms), np.ones(CANTOR2SQ.n_atoms)]
-    ratios, best = evaluate_witnesses(handle, CANTOR2SQ, CANTOR2SQ, 2.0, mixed)
+    ratios, best = evaluate_witnesses(lambda f: np.asarray(f), CANTOR2SQ, CANTOR2SQ, 2.0, mixed)
     assert best == 1
     assert ratios[0] == -np.inf
     assert ratios[1] == pytest.approx(1.0, rel=1e-12)
@@ -189,7 +156,7 @@ def test_riesz_norm_refinement_scaling():
         eps = 4.0 ** -k
         for alpha in (1.2, 0.8):
             handle = riesz_handle(mu, alpha, eps)
-            est = opnorm_lower(handle, mu, mu, 2.0, "power_iteration_p2", seed=3)
+            est = opnorm_lower(handle, mu, mu, 2.0, "extremizers", seed=3)
             values[alpha].append(est.value)
     for lo, hi in zip(values[1.2], values[1.2][1:]):
         assert 0.5 < hi / lo < 2.0

@@ -16,6 +16,7 @@ from frostlab.measures import (
     lebesgue_box_measure,
     measure_from_atoms,
     product_measure,
+    random_ball_measure,
     sphere_measure,
 )
 from frostlab.operators import (
@@ -447,19 +448,20 @@ def test_riesz_sup_bounded_for_large_alpha():
 # ---- Riesz row sums ----
 
 def test_row_sum_alpha_equals_dim_recovers_mass():
-    rep = riesz_row_sum(CANTOR45SQ, 2.0, CANTOR45SQ.atoms[0], level_cap=30)
+    contrib = riesz_row_sum(CANTOR45SQ, 2.0, CANTOR45SQ.atoms[0], level_cap=30)
     expect = CANTOR45SQ.total_mass - CANTOR45SQ.weights[0]
-    assert rep.total == pytest.approx(expect, rel=1e-12)
+    assert contrib.shape == (31,)
+    assert contrib.sum() == pytest.approx(expect, rel=1e-12)
 
 
 def test_row_sum_contribution_rates_depth12():
     mu = product_measure([cantor_measure(0.25, 12)] * 2)
     x = mu.atoms[0]
     for alpha, sign in ((1.2, -1.0), (0.8, 1.0)):
-        rep = riesz_row_sum(mu, alpha, x, level_cap=20)
-        pos = rep.contributions > 0
-        m = rep.levels[pos]
-        gm = math.log2(rep.contributions[pos][-1] / rep.contributions[pos][0]) \
+        contrib = riesz_row_sum(mu, alpha, x, level_cap=20)
+        pos = contrib > 0
+        m = np.arange(21)[pos]
+        gm = math.log2(contrib[pos][-1] / contrib[pos][0]) \
             / (m[-1] - m[0])
         assert abs(gm - sign * 0.2) < 0.1
 
@@ -467,13 +469,11 @@ def test_row_sum_contribution_rates_depth12():
 def test_row_sum_partial_sums_discriminate():
     mu = product_measure([cantor_measure(0.25, 12)] * 2)
     x = mu.atoms[0]
-    rep8 = riesz_row_sum(mu, 0.8, x, level_cap=20)
-    ps = np.cumsum(rep8.contributions)
+    ps = np.cumsum(riesz_row_sum(mu, 0.8, x, level_cap=20))
     m = np.arange(8, 19)
     slope = np.polyfit(m.astype(float), np.log2(ps[m]), 1)[0]
     assert 0.13 < slope < 0.32
-    rep12 = riesz_row_sum(mu, 1.2, x, level_cap=20)
-    ps12 = np.cumsum(rep12.contributions)
+    ps12 = np.cumsum(riesz_row_sum(mu, 1.2, x, level_cap=20))
     assert ps12[18] / ps12[8] < 1.5
 
 
@@ -487,9 +487,22 @@ def test_row_sum_chunked_scan_matches_one_chunk(monkeypatch, chunk):
     whole = riesz_row_sum(mu, 1.2, x, level_cap=20)
     monkeypatch.setattr(operators, "_RIESZ_CHUNK", chunk)
     got = riesz_row_sum(mu, 1.2, x, level_cap=20)
-    assert np.count_nonzero(whole.contributions) > 5
-    np.testing.assert_allclose(got.contributions, whole.contributions,
+    assert np.count_nonzero(whole) > 5
+    np.testing.assert_allclose(got, whole,
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_row_sum_drops_overflowing_distances_without_warning():
+    # atoms near 1e308 apart: every distance is far above 2 or overflows to inf
+    far = random_ball_measure(3, 10, seed=0, radius=1e308)
+    contrib = riesz_row_sum(far, 1.0, far.atoms[0], level_cap=8)
+    np.testing.assert_array_equal(contrib, np.zeros(9))
+    # the difference 1e308 - (-1e308) overflows; the neighbour at 1 still counts
+    mu = measure_from_atoms(np.array([[1e308, 0.0], [-1e308, 0.0], [1e308, 1.0]]),
+                            np.ones(3))
+    contrib = riesz_row_sum(mu, 1.0, mu.atoms[0], level_cap=4)
+    np.testing.assert_array_equal(contrib, [0.0, 2.0, 0.0, 0.0, 0.0])
 
 
 def test_row_sum_level_cap_validation():

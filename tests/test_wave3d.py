@@ -317,5 +317,5 @@ def test_energy_ratio_consistent_with_certified_lower_bound(grid32, mu_small):
     est = opnorm_lower(handle, mu_small, nu, 2.0, "bumps", seed=7)
     assert 0.05 < est.value < 0.09
     g = gaussian(0.3)(mu_small.atoms)
-    ratio = lp_norm(handle.apply(g), nu, 2.0) / lp_norm(g, mu_small, 2.0)
+    ratio = lp_norm(handle(g), nu, 2.0) / lp_norm(g, mu_small, 2.0)
     assert ratio <= est.value * 1.05
