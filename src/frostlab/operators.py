@@ -14,6 +14,7 @@ dimensions only through exponents, not prefactors.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,14 +34,96 @@ from .spectral import (
 
 # ---- radial multipliers ----
 
+# Cephes j0.c (S. L. Moshier, Cephes Math Library 2.8, 2000): for x <= 5,
+# J0(x) = (z - DR1)(z - DR2) RP(z) / RQ(z) with z = x^2, DR1 and DR2 the
+# squares of the first two zeros; above 5, the Hankel asymptotic form with
+# the rational factors PP/PQ and QP/QQ of 25/x^2
+_J0_PP = (7.96936729297347051624E-4, 8.28352392107440799803E-2,
+          1.23953371646414299388E0, 5.44725003058768775090E0,
+          8.74716500199817011941E0, 5.30324038235394892183E0,
+          9.99999999999999997821E-1)
+_J0_PQ = (9.24408810558863637013E-4, 8.56288474354474431428E-2,
+          1.25352743901058953537E0, 5.47097740330417105182E0,
+          8.76190883237069594232E0, 5.30605288235394617618E0,
+          1.00000000000000000218E0)
+_J0_QP = (-1.13663838898469149931E-2, -1.28252718670509318512E0,
+          -1.95539544257735972385E1, -9.32060152123768231369E1,
+          -1.77681167980488050595E2, -1.47077505154951170175E2,
+          -5.14105326766599330220E1, -6.05014350600728481186E0)
+_J0_QQ = (6.43178256118178023184E1, 8.56430025976980587198E2,
+          3.88240183605401609683E3, 7.24046774195652478189E3,
+          5.93072701187316984827E3, 2.06209331660327847417E3,
+          2.42005740240291393179E2)
+_J0_DR1 = 5.78318596294678452118E0
+_J0_DR2 = 3.04712623436620863991E1
+_J0_RP = (-4.79443220978201773821E9, 1.95617491946556577543E12,
+          -2.49248344360967716204E14, 9.70862251047306323952E15)
+_J0_RQ = (4.99563147152651017219E2, 1.73785401676374683123E5,
+          4.84409658339962045305E7, 1.11855537045356834862E10,
+          2.11277520115489217587E12, 3.10518229857422583814E14,
+          3.18121955943204943306E16, 1.71086294081043136091E18)
+_SQ2OPI = 7.9788456080286535587989E-1  # sqrt(2 / pi)
+
+
+def _polevl(x: np.ndarray, coef: tuple, monic: bool = False) -> np.ndarray:
+    """Cephes polevl, coef[0] x^N + ... + coef[N] by Horner's rule, in a
+    new array; monic (Cephes p1evl) puts a leading coefficient 1 before
+    coef."""
+    ans = x + coef[0] if monic else x * coef[0] + coef[1]
+    for c in coef[1 if monic else 2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _j0(x) -> np.ndarray:
+    """Bessel J0, float64: Cephes j0.c's operations in its order, so
+    scipy.special.j0's bits (it runs that routine), nan and inf included.
+    tests/test_operators.py compares the two bit for bit."""
+    x = np.array(x, dtype=np.float64)
+    np.negative(x, out=x, where=x < 0)  # not abs: nan keeps its sign bit
+    out = np.empty_like(x)
+    near = x <= 5.0  # nan takes the asymptotic branch, as in j0.c
+    far = ~near
+    # x^2 overflows above 1e154 (25/x^2 is then 0), and inf gives nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x[near]
+        tiny = z < 1e-5
+        z *= z
+        p = (z - _J0_DR1) * (z - _J0_DR2)
+        p *= _polevl(z, _J0_RP)
+        p /= _polevl(z, _J0_RQ, monic=True)
+        p[tiny] = 1.0 - z[tiny] / 4.0
+        out[near] = p
+        x = x[far]
+        q = 25.0 / (x * x)
+        p = _polevl(q, _J0_PP)
+        p /= _polevl(q, _J0_PQ)
+        w = _polevl(q, _J0_QP)
+        w /= _polevl(q, _J0_QQ, monic=True)
+        w *= 5.0 / x
+        xn = x - math.pi / 4.0
+        p *= np.cos(xn)
+        w *= np.sin(xn)
+        p -= w
+        p *= _SQ2OPI
+        p /= np.sqrt(x)
+        out[far] = p
+    return out
+
+
 def sphere_multiplier(dim: int) -> Callable:
-    """Transform of the probability measure on the unit sphere, as a radial function."""
+    """Transform of the probability measure on the unit sphere, as a radial function.
+
+    In 2-d it is J0(2 pi rho), from _j0, a numpy port of Cephes j0.c
+    (Moshier), the routine scipy.special.j0 runs: the same bits without
+    loading scipy.special, which
+    tests/test_operators.py::test_sphere_multiplier_2d_has_scipy_j0_bits
+    checks."""
     if dim == 3:
         return lambda rho: np.sinc(2.0 * np.asarray(rho, dtype=np.float64))
     if dim == 2:
-        from scipy.special import j0
-
-        return lambda rho: j0(2.0 * math.pi * np.asarray(rho, dtype=np.float64))
+        return lambda rho: _j0(2.0 * math.pi * np.asarray(rho, dtype=np.float64))
     raise ParameterError(f"sphere multiplier needs dim 2 or 3, got {dim}")
 
 
@@ -125,8 +208,23 @@ def spherical_average(f, mu: DiscreteMeasure, t: float,
     float64.
     """
     _check_t(t, grid)
-    base = sphere_multiplier(grid.dim)
-    return convolve_distribution(lambda rho: base(t * rho), f, mu, grid)
+    return convolve_distribution(_sphere_at(grid.dim, float(t)), f, mu, grid)
+
+
+# one profile object per key, so that Spectrum's table memo recognises a
+# repeated operator: opnorm's witnesses evaluate J0 once, not per witness
+@lru_cache(maxsize=8)
+def _sphere_at(dim: int, t: float) -> Callable:
+    """The sphere multiplier at dilation t."""
+    base = sphere_multiplier(dim)
+    return lambda rho: base(t * rho)
+
+
+@lru_cache(maxsize=8)
+def _mollified(multiplier: Callable, eps: float) -> Callable:
+    """multiplier damped by the Gaussian mollifier at eps."""
+    return lambda rho: (np.asarray(multiplier(rho), dtype=np.float64)
+                        * mollifier_hat(eps * rho))
 
 
 def quadrature_spherical_average(f, mu: DiscreteMeasure, t: float,
@@ -219,14 +317,17 @@ def convolve_distribution(multiplier: Callable, f, mu: DiscreteMeasure,
     the Gaussian mollifier at one band, eps = 2/freq_max.
     A non-finite multiplier value anywhere on the grid is a configuration
     error: singular multipliers carry their own finite origin value, as
-    riesz_multiplier does.
+    riesz_multiplier does.  multiplier must be a fixed function of |xi|:
+    the table of the last one applied on a grid is reused (Spectrum).
     """
     eps = default_mollify_eps(grid)
+    try:
+        profile = _mollified(multiplier, eps)
+    except TypeError:  # an unhashable multiplier gets a profile of its own
+        profile = _mollified.__wrapped__(multiplier, eps)
     # damping keeps a non-finite value non-finite, and Spectrum rejects it;
     # one profile, so the inverse runs in the spectrum's own memory
-    return Spectrum(f, mu, grid)._apply_in_place(
-        lambda rho: np.asarray(multiplier(rho), dtype=np.float64)
-        * mollifier_hat(eps * rho))
+    return Spectrum(f, mu, grid)._apply_in_place(profile)
 
 
 # ---- Riesz row sums ----

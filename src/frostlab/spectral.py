@@ -18,17 +18,20 @@ Two evaluation paths feed the same contract:
   (`direct_fourier`), to within 1e-11 of the largest transform modulus.
 
 The spread depends on the atom positions and the fine grid, not on the
-strengths f w.  So it is built once as a sparse (block, atoms) matrix,
-the plan, whose column i holds atom i's 14^d kernel values, and each later
-transform at the same positions is one sparse product (positions fixed
-once, strengths many, as in FINUFFT).  The block is the fine grid on the
+strengths f w.  So it is built as a sparse (block, atoms) matrix, the
+plan, whose column i holds atom i's 14^d kernel values, at the second
+transform at the same positions, and each later one is one sparse product
+(positions fixed once, strengths many, as in FINUFFT).  The first
+transform at new positions spreads directly, with the same bits, and
+records only the positions and rows: a run that transforms once never
+builds a plan nor loads scipy.sparse.  The block is the fine grid on the
 rows of each leading axis that some atom reaches.  The module keeps the
-last plan and those rows, keyed on the fine grid size, the dimension and
-an exact copy of the torus positions (x + L) / 2L, compared element by
-element: a change of atoms, box or grid builds a new one.  A plan costs
-12 bytes per kernel value, 12 * 14^d bytes per atom; one is kept only up
-to 2^22 values (about 48 MB), and larger problems spread each transform
-afresh.
+last positions, their rows and plan, keyed on the fine grid size, the
+dimension and an exact copy of the torus positions (x + L) / 2L, compared
+element by element: a change of atoms, box or grid starts afresh.  A plan
+costs 12 bytes per kernel value, 12 * 14^d bytes per atom; one is kept
+only up to 2^22 values (about 48 MB), and larger problems spread each
+transform afresh.
 
 Every transform stage is one 1-d numpy.fft call (rfft, fft, ifft,
 irfft), run along the axes in the order scipy.fft's n-d transforms use.
@@ -80,10 +83,14 @@ _MAX_SPREAD_VALUES = 2**25
 # beta = 2.30 ns (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41,
 # 2019); ns = 14 keeps one atom in d = 3 within 1e-11, where ns = 13 reaches
 # 1.35e-11.  A chunk of atoms scatters about _SPREAD_CHUNK_POINTS kernel
-# values, a working set that stays in cache.
+# values, a working set that stays in cache.  A plan is filled in chunks of
+# _PLAN_CHUNK_POINTS: it is built after a first transform has freed its
+# buffers, and 2^17-value chunks then raised the peak RSS of the benchmark's
+# witness loop (Python 3.11, glibc, 2-core x86-64) from 87.0 to 88.9 MB
 _ES_NS = 14
 _ES_BETA = 2.30 * _ES_NS
 _SPREAD_CHUNK_POINTS = 2**17
+_PLAN_CHUNK_POINTS = 2**15
 
 # a spread plan (see _spread) is kept only up to this many kernel values,
 # 12 bytes each: 2^22 is about 48 MB
@@ -273,17 +280,18 @@ def _es_first(s: np.ndarray) -> np.ndarray:
     return np.ceil(s - _ES_NS / 2)
 
 
-def _es_chunks(u: np.ndarray, n_fine: int, occupied: tuple):
+def _es_chunks(u: np.ndarray, n_fine: int, occupied: tuple, points: int):
     """Yield (i0, rows, weights) for consecutive chunks of the torus
-    positions u in [0, 1)^dim: row b of rows and weights holds the flat
-    indices, in the block of the occupied rows, of the _ES_NS^dim nodes of
-    the n_fine^dim grid that atom i0 + b reaches (within _ES_NS / 2 fine
-    cells per axis) and its kernel values there."""
+    positions u in [0, 1)^dim, of about `points` kernel values each: row
+    b of rows and weights holds the flat indices, in the block of the
+    occupied rows, of the _ES_NS^dim nodes of the n_fine^dim grid that
+    atom i0 + b reaches (within _ES_NS / 2 fine cells per axis) and its
+    kernel values there."""
     ns, dim = _ES_NS, u.shape[1]
     steps = np.arange(ns)
     tables = _row_tables(occupied, n_fine)
     shape = _block_shape(occupied, n_fine)
-    chunk = max(1, _SPREAD_CHUNK_POINTS // ns**dim)
+    chunk = max(1, points // ns**dim)
     for i0 in range(0, u.shape[0], chunk):
         s = u[i0:i0 + chunk] * n_fine
         first = _es_first(s)
@@ -319,7 +327,7 @@ def _spread_es(c: np.ndarray, u: np.ndarray, n_fine: int,
     at a time."""
     shape = _block_shape(occupied, n_fine)
     total = np.zeros(math.prod(shape))
-    for i0, rows, wt in _es_chunks(u, n_fine, occupied):
+    for i0, rows, wt in _es_chunks(u, n_fine, occupied, _SPREAD_CHUNK_POINTS):
         np.add.at(total, rows.ravel(), (wt * c[i0:i0 + len(wt), None]).ravel())
     return total.reshape(shape)
 
@@ -335,7 +343,7 @@ def _spread_plan(u: np.ndarray, n_fine: int, occupied: tuple) -> scipy.sparse.cs
     n_atoms = u.shape[0]
     data = np.empty(n_atoms * per_atom)
     indices = np.empty(n_atoms * per_atom, dtype=np.int32)
-    for i0, rows, wt in _es_chunks(u, n_fine, occupied):
+    for i0, rows, wt in _es_chunks(u, n_fine, occupied, _PLAN_CHUNK_POINTS):
         span = slice(i0 * per_atom, (i0 + len(wt)) * per_atom)
         data[span] = wt.ravel()
         indices[span] = rows.ravel()
@@ -345,16 +353,19 @@ def _spread_plan(u: np.ndarray, n_fine: int, occupied: tuple) -> scipy.sparse.cs
         shape=(math.prod(_block_shape(occupied, n_fine)), n_atoms))
 
 
-# the last plan built, as (n_fine, dim, u, occupied, plan): transforming many
-# strength vectors at one set of positions (opnorm's witnesses) spreads only
-# once
+# the last positions spread, as (n_fine, dim, u, occupied, plan), plan None
+# until they come back: transforming many strength vectors at one set of
+# positions (opnorm's witnesses) builds the kernel values only twice
 _plan_cache = None
 
 
 def _spread(c: np.ndarray, u: np.ndarray, n_fine: int, dim: int) -> tuple:
     """The block of _spread_es(c, u, n_fine, ...) on the rows that the atoms
-    reach, and those rows (_spread_rows).  Both come from the cached plan
-    for these exact positions when one fits in _SPREAD_PLAN_ENTRIES."""
+    reach, and those rows (_spread_rows).  When the plan fits in
+    _SPREAD_PLAN_ENTRIES, the rows are kept for these exact positions, and
+    the plan is built at the second transform at them: the product has
+    _spread_es's bits, since both add each atom's kernel values in the
+    same order."""
     global _plan_cache
     if u.shape[0] * _ES_NS**dim > _SPREAD_PLAN_ENTRIES:
         occupied = _spread_rows(u, n_fine)
@@ -362,13 +373,16 @@ def _spread(c: np.ndarray, u: np.ndarray, n_fine: int, dim: int) -> tuple:
     hit = (_plan_cache is not None and _plan_cache[:2] == (n_fine, dim)
            and np.array_equal(_plan_cache[2], u))
     if not hit:
-        _plan_cache = None  # free the old plan before the new one is built
+        _plan_cache = None  # free the old plan before spreading again
         occupied = _spread_rows(u, n_fine)
         for rows in occupied:
             rows.setflags(write=False)  # one array serves every later caller
-        _plan_cache = (n_fine, dim, u.copy(), occupied,
-                       _spread_plan(u, n_fine, occupied))
+        _plan_cache = (n_fine, dim, u.copy(), occupied, None)
+        return _spread_es(c, u, n_fine, occupied), occupied
     occupied, plan = _plan_cache[3:]
+    if plan is None:
+        plan = _spread_plan(u, n_fine, occupied)
+        _plan_cache = _plan_cache[:4] + (plan,)
     return (plan @ c).reshape(_block_shape(occupied, n_fine)), occupied
 
 
@@ -644,6 +658,14 @@ def _inverse(half: np.ndarray, grid: SpectralGrid, table: np.ndarray,
     return real.reshape((n,) * d)
 
 
+# the last table of _apply_in_place, as (grid, profile, table): an operator
+# applied to many strength vectors on one grid (opnorm's witnesses through
+# spherical_average, whose profile objects are cached) evaluates its
+# profile once.  It holds the profile, so `is` cannot match a new object
+# at a reused address
+_table_memo = None
+
+
 class Spectrum:
     """The transform of f dmu on a grid, kept as the rfftn half lattice.
 
@@ -749,8 +771,20 @@ class Spectrum:
     def _apply_in_place(self, profile) -> Field:
         """apply, inverted in the half lattice's own memory, for a caller
         that applies one profile: it allocates no field, and the spectrum
-        is spent."""
-        table = self._inverse_table(profile)
+        is spent.
+
+        The table of the last profile object on the last grid is kept
+        (_table_memo), and the same object on that grid reuses it, so a
+        profile passed here must be a fixed function of |xi|."""
+        global _table_memo
+        self._check_live()
+        memo = _table_memo
+        if memo is None or memo[1] is not profile or memo[0] != self.grid:
+            _table_memo = memo = None  # free the old table first
+            memo = (self.grid, profile, self._inverse_table(profile))
+            memo[2].setflags(write=False)  # one array serves every later caller
+            _table_memo = memo
+        table = memo[2]
         half, self._half = self._half, None
         values = _inverse(half, self.grid, table, half)
         return Field(self.grid, values, "space")

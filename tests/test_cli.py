@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from frostlab import cli, spectral
+from frostlab import cli, operators, spectral
 from frostlab.cli import main
 from frostlab.measures import (
     cantor_measure,
@@ -614,6 +614,9 @@ CACHE_RUNS = [
 
 def _clear_caches(monkeypatch):
     monkeypatch.setattr(spectral, "_plan_cache", None)
+    monkeypatch.setattr(spectral, "_table_memo", None)
+    operators._sphere_at.cache_clear()
+    operators._mollified.cache_clear()
     spectral._occurring_keys.cache_clear()
     spectral._radius_table.cache_clear()
     spectral._mode_factors.cache_clear()
@@ -640,11 +643,18 @@ def test_cold_and_warm_caches_give_the_same_bytes(tmp_path, monkeypatch):
     assert spectral._lattice_indices(mu, grid) is None
     f = np.cos(np.arange(mu.n_atoms))
     _clear_caches(monkeypatch)
-    cold = spherical_average(f, mu, 0.5, grid).values
-    assert spectral._plan_cache is not None
+    cold = spherical_average(f, mu, 0.5, grid).values.tobytes()
+    # the first transform at these positions keeps their rows, not a plan
+    assert spectral._plan_cache is not None and spectral._plan_cache[4] is None
     assert spectral._occurring_keys.cache_info().currsize == 1
-    warm = spherical_average(f, mu, 0.5, grid).values
-    assert np.array_equal(cold, warm)
+    table = spectral._table_memo[2]
+    warm = spherical_average(f, mu, 0.5, grid).values.tobytes()
+    # the second builds the plan and reuses the multiplier's table
+    plan = spectral._plan_cache[4]
+    assert plan is not None and spectral._table_memo[2] is table
+    again = spherical_average(f, mu, 0.5, grid).values.tobytes()
+    assert spectral._plan_cache[4] is plan and spectral._table_memo[2] is table
+    assert cold == warm == again
 
 
 def test_module_entry_point(tmp_path):
@@ -686,15 +696,35 @@ def test_exponents_and_counterexample_load_no_scipy_submodule(tmp_path):
     assert _heavy_scipy_after(code) == set()
 
 
-def test_avg_loads_special_but_not_fft_or_spatial(tmp_path):
-    cfg = _cfg(tmp_path, "c.json", {"experiment": "avg", "measure": _SQUARE,
-                                    "grid": _GRID64})
+# the grid runs on small 2-d grids, off the lattice: each transforms its
+# measure once, by the direct spread, and avg, maximal and growth evaluate
+# the 2-d sphere multiplier
+GRID_RUNS = {
+    "fourier": {"measure": _SQUARE, "grid": _GRID64},
+    "strichartz": {"measure": _SQUARE, "grid": _GRID64},
+    "avg": {"measure": _SQUARE, "grid": _GRID64},
+    "maximal": {"measure": _SQUARE, "grid": _GRID64_L4, "t_grid_n": 3},
+    "growth": {"measure": _SQUARE, "grid": _GRID64, "j_values": [2, 3, 4]},
+}
+
+
+@pytest.mark.parametrize("command", GRID_RUNS)
+def test_grid_runs_load_no_scipy_submodule(tmp_path, command):
+    cfg = _cfg(tmp_path, "c.json", {"experiment": command, **GRID_RUNS[command]})
+    code = ("from frostlab import spectral\n"
+            "from frostlab.cli import main\n"
+            f"assert main([{command!r}, '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'a')!r}]) == 0\n"
+            # spread once: the positions are kept, with no plan
+            "assert spectral._plan_cache[4] is None")
+    assert _heavy_scipy_after(code) == set()
+
+
+def test_opnorm_loads_sparse_only(tmp_path):
+    # its witnesses come back at the same positions, so the plan is built
     code = ("from frostlab.cli import main\n"
-            f"assert main(['avg', '--config', {cfg!r}, '--out', "
-            f"{str(tmp_path / 'a')!r}]) == 0")
-    loaded = _heavy_scipy_after(code)
-    assert "scipy.special" in loaded  # the 2-d sphere multiplier's j0
-    assert not loaded & {"scipy.fft", "scipy.spatial", "scipy.linalg"}
+            f"assert main(['opnorm', '--out', {str(tmp_path / 'o')!r}]) == 0")
+    assert _heavy_scipy_after(code) == {"scipy.sparse"}
 
 
 def test_wave_solution_loads_no_scipy_submodule(tmp_path):

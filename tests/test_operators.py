@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from frostlab import operators
+from frostlab import operators, spectral
 from frostlab.errors import ConfigError, DomainError, ParameterError
 from frostlab.measures import (
     cantor_measure,
@@ -150,6 +152,64 @@ def test_sphere_multiplier_is_one_at_origin():
     assert sphere_multiplier(3)(0.0) == pytest.approx(1.0, abs=1e-15)
     assert sphere_multiplier(3)(0.7 * np.array([0.0]))[0] == pytest.approx(
         1.0, abs=1e-15)
+
+
+def _sphere_radii_2d():
+    """|xi| times a radius, at every radius a 2-d operator in the CLI or
+    the benchmark dilates the sphere multiplier by (maximal's t-grid, avg
+    and opnorm's t, sphere_l2_profile's 2^-j), on the occurring radii of
+    their grids."""
+    scales = np.concatenate([default_t_grid(16), [0.5], 2.0 ** -np.arange(2, 8)])
+    grids = [SpectralGrid(2, 256, 2.0), SpectralGrid(2, 256, 4.0), G2_512,
+             SpectralGrid(2, 1024, 2.0)]
+    radii = np.concatenate([spectral._radius_table(g)[spectral._occurring_keys(g)]
+                            for g in grids])
+    return np.concatenate([t * radii for t in scales])
+
+
+def test_sphere_multiplier_2d_has_scipy_j0_bits():
+    from scipy.special import j0
+
+    rng = np.random.default_rng(2024)
+    # J0's argument 2 pi rho in [0, 5], the rational branch, in (5, 50] and
+    # (50, 3000], its asymptotic one, then the edges and special values
+    bands = [rng.uniform(lo, hi, 10**5) for lo, hi in [(0, 5), (5, 50), (50, 3000)]]
+    bands[1][0], bands[2][0] = 50.0, 3000.0
+    edges = np.array([0.0, -0.0, 1e-5, -1e-5, 5.0, 5.0 - 2**-50, 5.0 + 2**-50,
+                      np.nan, np.inf, -np.inf])
+    rho = np.concatenate(bands + [edges]) / (2.0 * math.pi)
+    rho = np.concatenate([rho, -rho, _sphere_radii_2d()])
+    got = sphere_multiplier(2)(rho)
+    want = j0(2.0 * math.pi * rho)
+    assert got.dtype == np.float64 and got.shape == rho.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class _Unhashable:
+    """A multiplier that defines == and so has no hash."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Unhashable)
+
+    def __call__(self, rho):
+        return sphere_multiplier(2)(0.5 * rho)
+
+
+def test_unhashable_multiplier_convolves_like_a_function():
+    f = np.cos(np.arange(CANTOR45SQ.n_atoms))
+    got = convolve_distribution(_Unhashable(), f, CANTOR45SQ, G2_256).values
+    want = spherical_average(f, CANTOR45SQ, 0.5, G2_256).values
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sphere_multiplier_2d_loads_no_scipy():
+    code = ("import sys\nimport numpy as np\n"
+            "from frostlab.operators import sphere_multiplier\n"
+            "sphere_multiplier(2)(np.linspace(-10.0, 1000.0, 10**4))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_lowpass_multiplier_nonnegative_unit_dc():
